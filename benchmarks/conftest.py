@@ -6,10 +6,10 @@ metrics from the *same* simulations), prints the numeric series and an
 ASCII rendering, and asserts the figure's shape checks.
 
 Set ``REPRO_BENCH_SEEDS`` / ``REPRO_BENCH_FULL=1`` to rescale,
-``REPRO_BENCH_WORKERS=N`` to run each figure's grid on a process pool,
-and ``REPRO_BENCH_STORE=spec`` (a JSON record dir, a ``.sqlite`` path,
-or an explicit ``json:``/``sqlite:`` spec; ``REPRO_BENCH_CACHE_DIR`` is
-the legacy JSON-dir form) to persist runs across bench sessions.
+``REPRO_BENCH_WORKERS=N`` to run each figure's grid on N worker
+processes, and ``REPRO_BENCH_STORE=spec`` (a JSON record dir, a
+``.sqlite`` path, or an explicit ``json:``/``sqlite:`` spec) to persist
+runs across bench sessions.
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ def _workers() -> int:
     return int(os.environ.get("REPRO_BENCH_WORKERS", "1"))
 
 
-def _cache_dir():
-    return os.environ.get("REPRO_BENCH_CACHE_DIR") or None
-
-
 def _store():
     return os.environ.get("REPRO_BENCH_STORE") or None
 
@@ -64,7 +60,6 @@ def figure_bench(benchmark, fig_id: str, run_cache: Dict) -> None:
             seeds=seeds,
             cache=run_cache,
             workers=_workers(),
-            cache_dir=_cache_dir(),
             store=_store(),
         )
 

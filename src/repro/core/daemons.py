@@ -69,9 +69,9 @@ class Daemon(abc.ABC):
     #: from the step-start view, then applied together)
     parallel: bool = False
     #: parallel-step write policy: also apply updates that differ from the
-    #: current state only below the move tolerance (historic
-    #: ``SyncExecutor`` semantics; silent rewrites propagate but do not
-    #: count as moves)
+    #: current state only below the move tolerance (the synchronous
+    #: daemon's semantics; silent rewrites propagate but do not count as
+    #: moves)
     overwrite: bool = False
     #: True when the schedule reads the live view (the engine then drives
     #: the round lazily, step by step, instead of materializing it)

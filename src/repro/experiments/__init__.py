@@ -35,7 +35,7 @@ from repro.experiments.scenario_models import (
     effective_arena,
     model_by_name,
 )
-from repro.experiments.sweeps import Sweep, SweepResult, run_sweep
+from repro.experiments.sweeps import Sweep, SweepResult
 from repro.experiments.lifetime import LifetimeResult, compare_lifetimes, run_lifetime
 from repro.groups.models import GROUP_MODEL_NAMES, group_model_by_name
 
@@ -51,7 +51,6 @@ _LAZY_EXPORTS = {
     "collect_campaign": "campaign",
     # store layer
     "ResultStore": "store",
-    "ResultCache": "store",
     "JsonDirStore": "store",
     "SqliteStore": "store",
     "open_store": "store",
@@ -61,7 +60,6 @@ _LAZY_EXPORTS = {
     # scheduler layer
     "Scheduler": "scheduler",
     "SerialScheduler": "scheduler",
-    "PoolScheduler": "scheduler",
     "AsyncScheduler": "scheduler",
     "CancelCampaign": "scheduler",
     "scheduler_by_name": "scheduler",
@@ -105,7 +103,6 @@ __all__ = [
     "group_model_by_name",
     "Sweep",
     "SweepResult",
-    "run_sweep",
     "LifetimeResult",
     "compare_lifetimes",
     "run_lifetime",

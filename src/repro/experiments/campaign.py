@@ -7,14 +7,13 @@ pluggable layers (see ``docs/campaigns.md`` for the architecture and
 operations guide):
 
 * a **result store** (:mod:`repro.experiments.store`) — the JSON record
-  dir (the historical ``--cache-dir``) or the SQLite columnar store —
-  keyed by a stable hash of the full
+  dir or the SQLite columnar store — keyed by a stable hash of the full
   :class:`~repro.experiments.config.ScenarioConfig`, so re-running a
   campaign (or a different campaign sharing cells) only executes the
   missing runs and an interrupted campaign resumes where it stopped;
-* a **scheduler** (:mod:`repro.experiments.scheduler`) — serial, the
-  multiprocessing pool, or the asyncio work-stealing queue with worker
-  heartbeats and graceful cancel;
+* a **scheduler** (:mod:`repro.experiments.scheduler`) — serial, or the
+  asyncio work-stealing queue with worker heartbeats and graceful
+  cancel;
 * **streaming aggregation** (:mod:`repro.experiments.aggregation`) —
   per-cell running mean ± Student-t CI (Welford) updated as records
   land, so ``status`` renders tables for campaigns still in flight.
@@ -57,31 +56,18 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.backends import (
-    DesBackend,
     backend_by_name,
     default_metrics,
     metric_extractor,
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.runner import RunResult
-
-# Run identity and record persistence live in the store layer; the names
-# are re-exported here because this module defined them for five PRs and
-# tests/notebooks import them from both places.
-from repro.experiments.store import (  # noqa: F401  (re-exports)
+from repro.experiments.store import (
     CACHE_SCHEMA,
-    COMPATIBLE_SCHEMAS,
-    HASH_SCHEMA,
-    _HASH_NEUTRAL_DEFAULTS,
-    JsonDirStore,
-    ResultCache,
-    ResultStore,
-    SqliteStore,
     config_key,
     migrate_json_dir,
     open_store,
     probe_store,
-    record_from_result,
     result_from_record,
     shard_of,
     store_location,
@@ -89,8 +75,8 @@ from repro.experiments.store import (  # noqa: F401  (re-exports)
 from repro.experiments.scheduler import (
     SCHEDULER_NAMES,
     CancelCampaign,
-    PoolScheduler,
     Scheduler,
+    default_scheduler,
     scheduler_by_name,
     worker_id,
 )
@@ -98,11 +84,6 @@ from repro.experiments.aggregation import (
     StreamingAggregate,
     campaign_status,
 )
-
-#: RunResult diagnostics persisted alongside the summary
-#: (kept as a module name for backwards compatibility; the DES backend
-#: owns the authoritative list)
-_DIAGNOSTIC_FIELDS = DesBackend.DIAGNOSTIC_FIELDS
 
 
 # ----------------------------------------------------------------------
@@ -296,48 +277,10 @@ def cell_label(point_items: Iterable[Tuple[str, object]]) -> str:
     return ",".join(f"{k}={v}" for k, v in point_items) or "-"
 
 
-def _summary_extractor(name: str) -> Callable[[RunResult], float]:
-    """Deprecated: DES-only metric pull by name.
-
-    A thin alias over the ``des`` backend's typed
-    :class:`~repro.experiments.backends.MetricSpec` registry — the one
-    source of truth for metric extraction.  Use
-    ``metric_extractor(name, spec.backends())`` or
-    ``CampaignResult.extractor(name)``, which dispatch per backend (see
-    the README migration note).
-    """
-    specs = backend_by_name("des").metrics()
-    if name not in specs:
-        raise ValueError(
-            f"unknown summary metric {name!r}: not in the 'des' backend's "
-            f"MetricSpec registry; choose from {sorted(specs)}"
-        )
-    spec = specs[name]
-    return lambda r: float(spec.extract(r))
-
-
-def _resolve_store(
-    store, cache_dir: Optional[str]
-) -> Optional[ResultStore]:
-    """One store from the modern ``store=`` and legacy ``cache_dir=``
-    arguments (``cache_dir`` is shorthand for a JSON dir store)."""
-    if store is not None and cache_dir is not None:
-        raise ValueError(
-            "pass store= or cache_dir=, not both "
-            "(cache_dir=DIR is shorthand for store='json:DIR')"
-        )
-    if store is not None:
-        return open_store(store)
-    if cache_dir is not None:
-        return JsonDirStore(cache_dir)
-    return None
-
-
 def run_campaign(
     spec: CampaignSpec,
     *,
     workers: int = 1,
-    cache_dir: Optional[str] = None,
     memo: Optional[Dict[ScenarioConfig, RunResult]] = None,
     progress: Optional[Callable[[str], None]] = None,
     shard: Optional[Tuple[int, int]] = None,
@@ -351,14 +294,14 @@ def run_campaign(
 
     Lookup order per run: ``memo`` (an in-memory dict shared across
     campaigns in one process — the sweep/figure cache) → the result
-    store → execute.  Pending runs go to the ``scheduler`` (default: the
-    multiprocessing pool when ``workers > 1``); each finished record is
-    written to the store as it arrives, so interrupting the campaign
-    loses at most the in-flight runs.
+    store → execute.  Pending runs go to the ``scheduler`` (an instance
+    or a name; default: :func:`~repro.experiments.scheduler.default_scheduler`,
+    serial unless ``workers`` and the pending runs both exceed one); each
+    finished record is written to the store as it arrives, so
+    interrupting the campaign loses at most the in-flight runs.
 
     ``store`` is a :class:`~repro.experiments.store.ResultStore` or a
-    spec string (``json:DIR``, ``sqlite:PATH``, or a bare path);
-    ``cache_dir`` remains as shorthand for a JSON dir store.
+    spec string (``json:DIR``, ``sqlite:PATH``, or a bare path).
 
     ``shard=(i, k)`` distributes one campaign over ``k`` machines
     sharing a store: runs are partitioned deterministically by config
@@ -369,7 +312,8 @@ def run_campaign(
     ``skipped``.  With ``steal=True`` this invocation instead *claims*
     foreign leftovers through the store and runs them after its own
     share (claims expire if the claimant dies; records are idempotent
-    per key, so a duplicate run can never double-count).  After every
+    per key, so a duplicate run can never double-count); stealing
+    therefore needs both ``shard`` and ``store``.  After every
     shard has run, a final un-sharded invocation against the shared
     store assembles the full campaign without executing anything.
 
@@ -389,9 +333,14 @@ def run_campaign(
                 f"shard index {index} out of range for {count} shard"
                 f"{'s' if count != 1 else ''} (need 0 <= i < k)"
             )
+    if steal and (shard is None or store is None):
+        raise ValueError(
+            "steal=True needs shard= and store=: only foreign-shard runs "
+            "are stolen, and claims go through the shared store"
+        )
     t0 = time.perf_counter()
     configs = spec.configs()
-    result_store = _resolve_store(store, cache_dir)
+    result_store = open_store(store) if store is not None else None
     stream = StreamingAggregate(
         spec,
         stream_metrics
@@ -420,11 +369,7 @@ def run_campaign(
             stream.update(i, results[i])
             continue
         if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
-            if (
-                steal
-                and result_store is not None
-                and result_store.claim(config_key(cfg), me)
-            ):
+            if steal and result_store.claim(config_key(cfg), me):
                 stolen_jobs.append((i, cfg))
             else:
                 skipped += 1
@@ -455,8 +400,10 @@ def run_campaign(
     # own-shard runs first; stolen leftovers only once our share is in
     jobs = pending + stolen_jobs
     configs_by_index = dict(jobs)
-    engine = scheduler if scheduler is not None else PoolScheduler(workers)
-    if isinstance(engine, str):
+    engine = scheduler
+    if engine is None:
+        engine = default_scheduler(workers, len(jobs))
+    elif isinstance(engine, str):
         engine = scheduler_by_name(engine, workers)
     try:
         if jobs:
@@ -654,8 +601,7 @@ def _add_spec_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_store_args(parser: argparse.ArgumentParser, group=None) -> None:
-    target = group if group is not None else parser
+def _add_store_arg(target) -> None:
     target.add_argument(
         "--store",
         default=None,
@@ -663,11 +609,6 @@ def _add_store_args(parser: argparse.ArgumentParser, group=None) -> None:
         help="result store: a directory (JSON record dir, the historical "
         "cache layout), a *.sqlite/*.db path (SQLite columnar store), or "
         "an explicit json:DIR / sqlite:PATH spec",
-    )
-    target.add_argument(
-        "--cache-dir",
-        default=None,
-        help="legacy shorthand for --store json:DIR",
     )
 
 
@@ -689,15 +630,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_spec_args(parser)
     how = parser.add_argument_group("how to run")
-    how.add_argument("--workers", type=int, default=1, help="pool size")
-    _add_store_args(parser, how)
+    how.add_argument("--workers", type=int, default=1, help="worker processes")
+    _add_store_arg(how)
     how.add_argument(
         "--scheduler",
         default=None,
         choices=SCHEDULER_NAMES,
-        help="execution engine: 'serial', 'pool' (multiprocessing, the "
-        "default for --workers > 1), or 'async' (asyncio job queue with "
-        "work stealing, heartbeats and graceful cancel)",
+        help="execution engine: 'serial' or 'async' (asyncio job queue "
+        "with work stealing, heartbeats and graceful cancel).  Default: "
+        "serial when --workers or the pending runs number at most one, "
+        "else async",
     )
     how.add_argument(
         "--shard",
@@ -711,9 +653,10 @@ def build_parser() -> argparse.ArgumentParser:
     how.add_argument(
         "--steal",
         action="store_true",
-        help="with --shard: after executing the own share, claim and run "
-        "other shards' still-missing runs through the store (claims "
-        "expire if the claimant dies; records stay exactly-once per key)",
+        help="with --shard and --store: after executing the own share, "
+        "claim and run other shards' still-missing runs through the store "
+        "(claims expire if the claimant dies; records stay exactly-once "
+        "per key)",
     )
     _add_metrics_arg(how)
     how.add_argument(
@@ -872,20 +815,6 @@ def spec_from_args(args) -> CampaignSpec:
     )
 
 
-def _store_spec_from_args(args) -> Optional[str]:
-    """Resolve ``--store``/``--cache-dir`` into one store spec string."""
-    if args.store and args.cache_dir:
-        raise SystemExit(
-            "--store and --cache-dir both given; --cache-dir DIR is "
-            "shorthand for --store json:DIR — drop one of them"
-        )
-    if args.store:
-        return args.store
-    if args.cache_dir:
-        return f"json:{args.cache_dir}"
-    return None
-
-
 def _metrics_from_args(args, spec: CampaignSpec) -> List[str]:
     if args.metrics:
         return [m for m in args.metrics.split(",") if m]
@@ -904,16 +833,15 @@ def _build_view_parser(verb: str, description: str) -> argparse.ArgumentParser:
         description=description,
     )
     _add_spec_args(parser)
-    _add_store_args(parser)
+    _add_store_arg(parser)
     _add_metrics_arg(parser)
     return parser
 
 
 def _require_store(args) -> str:
-    store_spec = _store_spec_from_args(args)
-    if store_spec is None:
-        raise SystemExit("this subcommand needs --store (or --cache-dir)")
-    return store_spec
+    if not args.store:
+        raise SystemExit("this subcommand needs --store")
+    return args.store
 
 
 def _main_status(argv: Sequence[str]) -> int:
@@ -1032,7 +960,12 @@ def _main_flat(argv: Sequence[str]) -> int:
     except ValueError as exc:  # spec/config validation -> clean CLI error
         raise SystemExit(str(exc)) from None
     shard = _parse_shard(args.shard)
-    store_spec = _store_spec_from_args(args)
+    store_spec = args.store
+    if args.steal and (shard is None or not store_spec):
+        raise SystemExit(
+            "--steal needs --shard I/K and --store: it claims other shards' "
+            "leftovers through the shared store"
+        )
     if args.dry_run:
         # The full plan without executing anything: per-run identity and
         # shard/store status, then the campaign shape.  The store is only
@@ -1090,9 +1023,7 @@ def _main_flat(argv: Sequence[str]) -> int:
         if store is not None:
             print(f"# warm cache hits: {warm}/{spec.size()}")
         elif store_spec:
-            # historical wording when the legacy flag named the store
-            what = "cache dir" if args.cache_dir else "store"
-            print(f"# warm cache hits: 0/{spec.size()} ({what} absent)")
+            print(f"# warm cache hits: 0/{spec.size()} (store absent)")
         return 0
 
     progress = None if args.quiet else lambda msg: print(msg, flush=True)

@@ -126,14 +126,12 @@ class FigureDef:
         seeds: Sequence[int] = (1, 2, 3),
         cache: Dict = None,
         workers: int = 1,
-        cache_dir: str = None,
         store=None,
         scheduler=None,
     ) -> SweepResult:
         return self.sweep(quick=quick, seeds=seeds).run(
             cache=cache,
             workers=workers,
-            cache_dir=cache_dir,
             store=store,
             scheduler=scheduler,
         )

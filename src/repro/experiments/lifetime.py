@@ -114,7 +114,7 @@ def compare_lifetimes(
     parallel; results come back in the same deterministic order either
     way.
     """
-    from repro.experiments.scheduler import PoolScheduler
+    from repro.experiments.scheduler import default_scheduler
 
     base = base or ScenarioConfig.quick()
     protocols = list(protocols)
@@ -126,7 +126,7 @@ def compare_lifetimes(
             jobs.append((p_i * len(seeds) + s_i, (config, battery_j)))
 
     results: List[Optional[LifetimeResult]] = [None] * len(jobs)
-    engine = scheduler if scheduler is not None else PoolScheduler(workers)
+    engine = scheduler if scheduler is not None else default_scheduler(workers, len(jobs))
     engine.execute(
         _lifetime_execute, jobs, lambda i, res: results.__setitem__(i, res)
     )

@@ -4,13 +4,10 @@ This is the **scheduler layer** of the campaign service (see
 ``docs/campaigns.md``).  A :class:`Scheduler` takes a list of indexed
 jobs and a worker function and delivers ``(index, result)`` pairs to a
 callback in completion order; everything else — cache lookups, sharding,
-persistence, aggregation — stays in the layers around it.  Three
-engines:
+persistence, aggregation — stays in the layers around it.  Two engines:
 
 * :class:`SerialScheduler` — in-process loop (deterministic, zero
   overhead; what ``workers=1`` always meant).
-* :class:`PoolScheduler` — ``multiprocessing.Pool.imap_unordered``,
-  byte-for-byte the historical ``workers=N`` behavior.
 * :class:`AsyncScheduler` — an asyncio job queue over a process-pool
   executor: workers *steal* from one shared deque (a slow run never
   idles the other workers), publish heartbeats through the result
@@ -19,8 +16,10 @@ engines:
   deliver, then re-raises.  Combined with per-record persistence this
   makes any campaign killable and resumable at run granularity.
 
-Workers are separate processes in both parallel engines, so the worker
-function and job payloads must be picklable top-level callables.
+:func:`default_scheduler` is the one rule for callers that name no
+engine: serial when at most one worker would be busy, else async.
+Async workers are separate processes, so the worker function and job
+payloads must be picklable top-level callables.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import abc
 import asyncio
 import collections
 import concurrent.futures
-import multiprocessing
 import os
 import socket
 import time
@@ -39,9 +37,9 @@ __all__ = [
     "CancelCampaign",
     "Scheduler",
     "SerialScheduler",
-    "PoolScheduler",
     "AsyncScheduler",
     "SCHEDULER_NAMES",
+    "default_scheduler",
     "scheduler_by_name",
 ]
 
@@ -99,38 +97,6 @@ class SerialScheduler(Scheduler):
     def execute(self, fn, jobs, on_result, store=None) -> None:
         for i, payload in jobs:
             on_result(i, fn(payload))
-
-
-def _call_indexed(packed: Tuple[Callable, int, object]) -> Tuple[int, object]:
-    """Pool-side trampoline carrying the job's slot index, so unordered
-    completions map back to the right result slot."""
-    fn, i, payload = packed
-    return i, fn(payload)
-
-
-class PoolScheduler(Scheduler):
-    """``multiprocessing.Pool`` fan-out — the historical parallel path.
-
-    Falls back to serial when the batch (or ``workers``) is 1, exactly
-    like the pre-refactor campaign loop.  Cancellation is abrupt here
-    (the pool context terminates in-flight workers); use
-    :class:`AsyncScheduler` when graceful draining matters.
-    """
-
-    name = "pool"
-
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = max(1, int(workers))
-
-    def execute(self, fn, jobs, on_result, store=None) -> None:
-        n = min(self.workers, len(jobs))
-        if n <= 1:
-            SerialScheduler().execute(fn, jobs, on_result, store=store)
-            return
-        packed = [(fn, i, payload) for i, payload in jobs]
-        with multiprocessing.Pool(n) as pool:
-            for i, result in pool.imap_unordered(_call_indexed, packed):
-                on_result(i, result)
 
 
 class AsyncScheduler(Scheduler):
@@ -212,15 +178,21 @@ class AsyncScheduler(Scheduler):
                 continue
 
 
-SCHEDULER_NAMES = ("serial", "pool", "async")
+SCHEDULER_NAMES = ("serial", "async")
+
+
+def default_scheduler(workers: int, n_jobs: int) -> Scheduler:
+    """The engine used when the caller names none: in-process when at
+    most one worker would be busy, else the async queue."""
+    if min(workers, n_jobs) <= 1:
+        return SerialScheduler()
+    return AsyncScheduler(workers=workers)
 
 
 def scheduler_by_name(name: str, workers: int = 1) -> Scheduler:
     """Resolve a ``--scheduler`` value into an engine instance."""
     if name == "serial":
         return SerialScheduler()
-    if name == "pool":
-        return PoolScheduler(workers=workers)
     if name == "async":
         return AsyncScheduler(workers=workers)
     raise ValueError(

@@ -38,27 +38,33 @@ __all__ = ["CampaignService"]
 
 
 class CampaignService:
-    """Submit/status/results over one shared result store."""
+    """Submit/status/results over one shared result store.
+
+    With no ``scheduler``, each submit picks one by
+    :func:`~repro.experiments.scheduler.default_scheduler` from
+    ``workers`` and the runs still pending.
+    """
 
     def __init__(
-        self, store, scheduler: Optional[Scheduler] = None
+        self, store, scheduler: Optional[Scheduler] = None, workers: int = 1
     ) -> None:
         self.store: ResultStore = open_store(store)
         self.scheduler = scheduler
+        self.workers = workers
 
     @classmethod
     def open(
-        cls, store, scheduler: str = "pool", workers: int = 1
+        cls, store, scheduler: Optional[str] = None, workers: int = 1
     ) -> "CampaignService":
         """Build a service from a store spec and a scheduler name."""
-        return cls(store, scheduler_by_name(scheduler, workers))
+        named = scheduler_by_name(scheduler, workers) if scheduler else None
+        return cls(store, named, workers)
 
     # ------------------------------------------------------------------
     def submit(
         self,
         spec: CampaignSpec,
         *,
-        workers: int = 1,
         shard: Optional[Tuple[int, int]] = None,
         steal: bool = False,
         memo: Optional[Dict] = None,
@@ -68,7 +74,7 @@ class CampaignService:
         """Run ``spec``, executing only the runs the store is missing."""
         return run_campaign(
             spec,
-            workers=workers,
+            workers=self.workers,
             store=self.store,
             scheduler=self.scheduler,
             shard=shard,

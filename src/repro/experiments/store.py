@@ -361,7 +361,7 @@ class ResultStore(abc.ABC):
 class JsonDirStore(ResultStore):
     """Directory of ``<config_key>.json`` run records.
 
-    Byte-for-byte the historical ``--cache-dir`` layout: every record a
+    Byte-for-byte the historical JSON cache layout: every record a
     pre-refactor campaign wrote keeps hitting, and every record this
     store writes is loadable by pre-refactor code.  Writes are
     crash-safe: the record lands in a tempfile that is fsynced and then
@@ -491,10 +491,6 @@ class JsonDirStore(ResultStore):
             pass
 
 
-class ResultCache(JsonDirStore):
-    """Pre-refactor name of :class:`JsonDirStore` (kept for imports)."""
-
-
 # ----------------------------------------------------------------------
 # SQLite columnar store
 # ----------------------------------------------------------------------
@@ -539,7 +535,18 @@ class SqliteStore(ResultStore):
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._conn = sqlite3.connect(path, timeout=timeout_s)
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        # Two processes opening a fresh file race to switch it to WAL;
+        # the loser gets "database is locked" at once (the busy timeout
+        # does not cover this lock), so retry within the same timeout.
+        deadline = time.monotonic() + timeout_s
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() > deadline:
+                    raise
+                time.sleep(0.01)
         self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._conn:  # one transaction for the schema
             self._conn.execute(
@@ -714,7 +721,7 @@ def open_store(spec: Union[str, ResultStore]) -> ResultStore:
     ``spec`` may already be a :class:`ResultStore` (returned as is), or a
     string: ``json:DIR`` / ``sqlite:PATH`` explicit forms, a path ending
     in ``.sqlite``/``.sqlite3``/``.db`` (SQLite), or any other path (a
-    JSON record dir — the historical ``--cache-dir`` meaning).
+    JSON record dir — the historical cache layout).
     """
     if isinstance(spec, ResultStore):
         return spec

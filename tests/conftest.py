@@ -88,7 +88,7 @@ def test_store(tmp_path) -> str:
     The CI store leg sets ``REPRO_TEST_STORE=sqlite`` so the campaign /
     backend / scenario-model tests persist through the SQLite columnar
     store instead of the JSON record dir; the default keeps the
-    historical ``--cache-dir`` layout.  Both resolve through
+    historical JSON cache layout.  Both resolve through
     :func:`repro.experiments.store.open_store`.
     """
     if os.environ.get("REPRO_TEST_STORE", "json") == "sqlite":

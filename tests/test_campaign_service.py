@@ -2,14 +2,16 @@
 
 Pins the contracts of the refactor's upper layers (docs/campaigns.md):
 
-* the three schedulers (serial / pool / async) are interchangeable —
-  same campaign, bit-identical aggregates;
+* the two schedulers (serial / async) are interchangeable — same
+  campaign, bit-identical aggregates — and the default picks serial
+  whenever at most one worker would be busy;
 * the async engine publishes worker heartbeats through the store,
   cancels gracefully mid-campaign (everything delivered so far is
   persisted), and a killed-and-resumed invocation converges to the
   same final table as an uninterrupted run;
 * ``steal=True`` lets one shard claim and run other shards' leftovers,
-  with claims contended through the store;
+  with claims contended through the store, and is rejected without a
+  shard and a store;
 * streaming per-cell aggregation equals batch ``aggregate`` bit-for-bit
   in any arrival order (hypothesis property), because ``mean_ci`` *is*
   the Welford fold;
@@ -21,6 +23,7 @@ Pins the contracts of the refactor's upper layers (docs/campaigns.md):
 from __future__ import annotations
 
 import json
+import os
 import time
 
 import pytest
@@ -40,10 +43,11 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scheduler import (
+    SCHEDULER_NAMES,
     AsyncScheduler,
     CancelCampaign,
-    PoolScheduler,
     SerialScheduler,
+    default_scheduler,
     scheduler_by_name,
 )
 from repro.experiments.service import CampaignService
@@ -88,24 +92,30 @@ def store_spec(request, tmp_path) -> str:
 class TestSchedulers:
     def test_by_name(self):
         assert isinstance(scheduler_by_name("serial"), SerialScheduler)
-        assert isinstance(scheduler_by_name("pool", 4), PoolScheduler)
         assert isinstance(scheduler_by_name("async", 4), AsyncScheduler)
         with pytest.raises(ValueError, match="unknown scheduler"):
             scheduler_by_name("celery")
+        assert SCHEDULER_NAMES == ("serial", "async")
+
+    def test_default_rule(self):
+        """Serial whenever at most one worker would be busy."""
+        assert isinstance(default_scheduler(1, 8), SerialScheduler)
+        assert isinstance(default_scheduler(4, 1), SerialScheduler)
+        engine = default_scheduler(4, 2)
+        assert isinstance(engine, AsyncScheduler) and engine.workers == 4
 
     def test_engines_agree_bit_for_bit(self):
-        """Same campaign through all three engines: identical tables."""
+        """Same campaign through both engines: identical tables."""
         spec = rounds_spec()
         tables = []
         for engine in (
             SerialScheduler(),
-            PoolScheduler(workers=2),
             AsyncScheduler(workers=2, heartbeat_s=0.1),
         ):
             result = run_campaign(spec, scheduler=engine)
             assert result.executed == spec.size()
             tables.append(result.format_table(("rounds", "moves")))
-        assert tables[0] == tables[1] == tables[2]
+        assert tables[0] == tables[1]
 
     def test_string_scheduler_resolves(self, tmp_path):
         result = run_campaign(
@@ -198,6 +208,13 @@ class TestWorkStealing:
         assert other.executed == 0
         assert other.cache_hits == spec.size()
 
+    def test_steal_needs_shard_and_store(self, tmp_path):
+        spec = rounds_spec()
+        with pytest.raises(ValueError, match="steal=True needs"):
+            run_campaign(spec, store=str(tmp_path / "r"), steal=True)
+        with pytest.raises(ValueError, match="steal=True needs"):
+            run_campaign(spec, shard=(0, 2), steal=True)
+
     def test_without_steal_foreign_runs_are_skipped(self, store_spec):
         spec = rounds_spec(seeds=(1, 2, 3))
         result = run_campaign(spec, store=store_spec, shard=(0, 2))
@@ -258,7 +275,7 @@ class TestStreamingAggregation:
     @given(st.permutations(list(range(8))))
     @settings(deadline=None, max_examples=30)
     def test_any_arrival_order_matches_batch_bit_for_bit(self, order):
-        """Runs land in completion order (pool/async make it arbitrary);
+        """Runs land in completion order (async makes it arbitrary);
         the snapshot folds slot-ordered, so it equals the batch
         ``aggregate`` exactly — not approximately."""
         ref = _reference_campaign()
@@ -305,7 +322,7 @@ class TestCampaignService:
     def test_migrate_from_json_cache(self, tmp_path):
         spec = rounds_spec()
         json_root = str(tmp_path / "legacy-cache")
-        run_campaign(spec, cache_dir=json_root)
+        run_campaign(spec, store=f"json:{json_root}")
         with CampaignService.open(
             f"sqlite:{tmp_path / 'svc.sqlite'}"
         ) as svc:
@@ -385,7 +402,7 @@ class TestCli:
         json_root = str(tmp_path / "legacy")
         sqlite_spec = str(tmp_path / "migrated.sqlite")
         # 1. build a JSON cache dir the pre-refactor way
-        assert main(SPEC_ARGS + ["--cache-dir", json_root, "--quiet"]) == 0
+        assert main(SPEC_ARGS + ["--store", f"json:{json_root}", "--quiet"]) == 0
         # 2. migrate it into SQLite
         assert main(["migrate", json_root, sqlite_spec, "--quiet"]) == 0
         out = capsys.readouterr().out
@@ -407,10 +424,14 @@ class TestCli:
         assert "skipped=0" in out
         assert "stolen=" in out
 
-    def test_store_and_cache_dir_conflict(self, tmp_path):
-        argv = SPEC_ARGS + [
-            "--store", str(tmp_path / "a"),
-            "--cache-dir", str(tmp_path / "b"),
-        ]
-        with pytest.raises(SystemExit):
-            main(argv)
+    def test_steal_without_shard_or_store_is_rejected(self, tmp_path):
+        """``--steal`` only claims foreign-shard runs through a shared
+        store; without both it would silently steal nothing."""
+        store = str(tmp_path / "records")
+        for argv in (
+            SPEC_ARGS + ["--store", store, "--steal"],
+            SPEC_ARGS + ["--shard", "0/2", "--steal"],
+        ):
+            with pytest.raises(SystemExit, match="--steal needs"):
+                main(argv)
+        assert not os.path.exists(store)

@@ -548,7 +548,7 @@ class TestCampaignCli:
             "--set", "sim_time=12",
             "--set", "n_nodes=24",
             "--set", "group_size=4",
-            "--cache-dir", str(tmp_path),
+            "--store", f"json:{tmp_path}",
             "--quiet",
         ]
         assert main(args) == 0
