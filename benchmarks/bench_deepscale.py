@@ -19,16 +19,18 @@ studies to 10^4-10^5.  This bench pins that claim:
   asserting bit-identical trajectories — including evaluation counts —
   (the contract that makes the speedup trustworthy) and recording the
   ratios.
-* **legacy-apply gate** — the PR-6 apply path (per-move commits +
-  from-scratch snapshots, preserved behind ``legacy_apply=True``) must
-  cost >= 3x the incremental path on the deep E workload, measured on
-  the snapshot *stage* counter: that is the stage PR 6 rebuilt O(n)
-  every step and this PR re-prices per dirty subtree.  (E's *commit*
-  stage is per-move in both paths by bit-identity necessity — the
-  dirty closure needs per-move flag-flip reports — so it is recorded
-  in the profiles but not gated; the batched commit's own win shows in
-  the hop/tx cells.)  Stage ratios come from the same process, so
-  shared-runner noise largely cancels, and the ratio grows with n.
+* **snapshot gate** — on the deep E cell, the incremental snapshot
+  stage (``profile["snapshot_s"]``) must cost at most a third of
+  rebuilding every one of its snapshots in full: ``snapshots x t_full``,
+  where ``t_full`` is the median of a few full builds (``_build_full``,
+  each into a fresh ``_Snapshot``) on a fresh view of the cell's final
+  states.  A full build is O(n) per step; the incremental path
+  re-prices per dirty subtree, so the ratio grows with n.  (E's
+  *commit* stage is per-move by bit-identity necessity — the dirty
+  closure needs per-move flag-flip reports — so it is recorded in the
+  profile but not gated; the batched commit's own win shows in the
+  hop/tx cells.)  Both sides are timed in the same process, so
+  shared-runner noise largely cancels.
 * **n = 10^5 cells** (``REPRO_BENCH_FULL=1``) — hop and tx under the
   synchronous daemon: feasibility at a scale where the dense topology
   cannot even be built (an (n, n) float64 matrix would be 80 GB), with
@@ -46,6 +48,7 @@ mode uses 2000), ``REPRO_BENCH_FULL=1`` adds the 10^5 cell, and
 
 import json
 import os
+import statistics
 import time
 
 from repro.core import engine_for, fresh_states, is_legitimate, metric_by_name
@@ -66,6 +69,8 @@ MAX_SECONDS = 120.0 if N >= 10_000 else 60.0
 #: chain pricing re-prices whole subtrees per move, so SS-SPST-E costs
 #: an order of magnitude more than tx (~165 s at n = 10^4 on a dev box)
 ENERGY_MAX_SECONDS = 600.0
+#: full snapshot builds timed for the snapshot gate's ``t_full``
+FULL_BUILD_REPS = 7
 
 
 def _topo(n: int, seed: int = 2) -> SparseTopology:
@@ -99,6 +104,7 @@ def _profile_of(eng):
 
 
 def _cell(topo, metric_name, daemon, **options):
+    """One array-engine cell: its artifact record, engine and result."""
     res, elapsed, metric, eng = _run(
         topo, metric_name, daemon, "array", **options
     )
@@ -114,6 +120,30 @@ def _cell(topo, metric_name, daemon, **options):
         "moves": res.moves,
         "evaluations": res.evaluations,
         "profile": _profile_of(eng),
+    }, eng, res
+
+
+def _snapshot_gate(eng, states):
+    """The deep E cell's snapshot stage against rebuilding every one of
+    its snapshots in full (see module docstring)."""
+    prof = eng.profile
+    times = []
+    for _ in range(FULL_BUILD_REPS):
+        view = eng._make_view(states)
+        # a running engine maintains flags per move; derive them up
+        # front so only the snapshot build itself is timed
+        view._flags
+        t0 = time.perf_counter()
+        eng._build_full(view, "energy")
+        times.append(time.perf_counter() - t0)
+    t_full = statistics.median(times)
+    snapshots = prof["snapshots_full"] + prof["snapshots_incremental"]
+    snap = prof["snapshot_s"]
+    return {
+        "snapshot_s": snap,
+        "snapshots": snapshots,
+        "t_full": t_full,
+        "ratio": snapshots * t_full / snap if snap > 0 else float("inf"),
     }
 
 
@@ -125,29 +155,14 @@ def _measure():
         "connected": topo.is_connected(),
         "cells": [],
     }
-    stats["cells"].append(_cell(topo, "hop", "synchronous"))
-    stats["cells"].append(_cell(topo, "tx", "synchronous"))
+    stats["cells"].append(_cell(topo, "hop", "synchronous")[0])
+    stats["cells"].append(_cell(topo, "tx", "synchronous")[0])
     # E under a snapshot schedule that converges: distributed-k chunks
     # (sync E limit-cycles at scale; serial daemons converge but waste
     # the batched evaluator on single-node steps).
-    energy = _cell(topo, "energy", "distributed", k=max(1, N // 20))
+    energy, eng, res = _cell(topo, "energy", "distributed", k=max(1, N // 20))
     stats["cells"].append(energy)
-    # The PR-6 apply path (per-move commits, from-scratch snapshots) on
-    # the same deep E workload: the incremental path must beat it >= 3x
-    # on the stage it replaced (see module docstring).
-    legacy = _cell(
-        topo, "energy", "distributed", k=max(1, N // 20), legacy_apply=True
-    )
-    stats["cells"].append(legacy)
-    new_snap = energy["profile"]["snapshot_s"]
-    old_snap = legacy["profile"]["snapshot_s"]
-    stats["legacy_apply_gate"] = {
-        "snapshot_s": new_snap,
-        "legacy_snapshot_s": old_snap,
-        "speedup": old_snap / new_snap if new_snap > 0 else float("inf"),
-        "commit_s": energy["profile"]["commit_s"],
-        "legacy_commit_s": legacy["profile"]["commit_s"],
-    }
+    stats["snapshot_gate"] = _snapshot_gate(eng, res.states)
 
     # Object vs array vs kernel on the headline tx workload: identical
     # trajectories — evaluations included — (the point of the contract);
@@ -192,7 +207,7 @@ def _measure():
 
     if FULL:
         for m in ("hop", "tx"):
-            c = _cell(_topo(FULL_N), m, "synchronous")
+            c = _cell(_topo(FULL_N), m, "synchronous")[0]
             stats["cells"].append(c)
             # the tentpole's acceptance: at 10^5 the commit+snapshot
             # stages (the PR-6 bottleneck) are no longer dominant
@@ -277,7 +292,6 @@ def test_deepscale(benchmark):
     stats = benchmark.pedantic(_measure, rounds=1, iterations=1)
     print()
     for c in stats["cells"]:
-        tag = " legacy" if c.get("legacy_apply") else ""
         prof = c.get("profile") or {}
         stages = " ".join(
             f"{k.rstrip('_s')}={prof[k]:.2f}"
@@ -287,7 +301,7 @@ def test_deepscale(benchmark):
         print(
             f"n={c['n']:>6d} {c['metric']:7s} {c['daemon']:12s}"
             f" {c['t']:7.2f}s rounds={c['rounds']:4d} moves={c['moves']}"
-            f"{tag}  [{stages}]"
+            f"  [{stages}]"
         )
     sp = stats["speedup_tx_sync"]
     print(
@@ -300,11 +314,11 @@ def test_deepscale(benchmark):
             else "; numba absent"
         )
     )
-    gate = stats["legacy_apply_gate"]
+    gate = stats["snapshot_gate"]
     print(
-        f"legacy apply path (deep E snapshot stage): "
-        f"{gate['legacy_snapshot_s']:.2f}s vs "
-        f"{gate['snapshot_s']:.2f}s -> {gate['speedup']:.1f}x"
+        f"snapshot gate (deep E): {gate['snapshots']} full rebuilds x "
+        f"{gate['t_full'] * 1e3:.2f}ms vs incremental "
+        f"{gate['snapshot_s']:.2f}s -> {gate['ratio']:.1f}x"
     )
     st = stats["store"]
     for label in ("json", "sqlite"):
@@ -317,14 +331,14 @@ def test_deepscale(benchmark):
     _emit_json(stats)
     # The headline acceptance: deep-scale stabilization in seconds.
     for c in stats["cells"]:
-        if c["n"] != N or c.get("legacy_apply"):
+        if c["n"] != N:
             continue
         bound = ENERGY_MAX_SECONDS if c["metric"] == "energy" else MAX_SECONDS
         assert c["t"] <= bound, (
             f"{c['metric']}/{c['daemon']} took {c['t']:.1f}s at n={N}"
         )
-    # The incremental path must beat the PR-6 apply path >= 3x on the
-    # stage it replaced (scratch snapshots are O(n) per step,
-    # incremental re-pricing is O(dirty subtree) — the ratio grows
-    # with n, ~7x at the CI quick scale N = 2000).
-    assert gate["speedup"] >= 3.0, gate
+    # The incremental snapshot stage must beat rebuilding every snapshot
+    # in full >= 3x (full builds are O(n) per step, incremental
+    # re-pricing is O(dirty subtree) — the ratio grows with n, ~8x at
+    # the CI quick scale N = 2000).
+    assert gate["snapshot_s"] * 3 <= gate["snapshots"] * gate["t_full"], gate

@@ -549,9 +549,10 @@ class ArrayRoundEngine(RoundEngine):
     and are usually better served by the object engine — see the
     README's engine-selection notes.
 
-    ``legacy_apply=True`` restores the pre-kernelized hot path (per-move
-    object applies, from-scratch snapshots) — kept as the benchmark
-    baseline for the batched/incremental speedup gate.
+    Snapshots are built in full (:meth:`_build_full`) on a fresh view
+    and then updated in place (:meth:`_update_energy` /
+    :meth:`_update_at`) while the dirty rows stay a small fraction of
+    the columns; the full build is the oracle for the incremental one.
 
     :attr:`profile` accumulates per-stage wall-clock counters
     (``commit_s`` / ``snapshot_s`` / ``evaluate_s`` / ``fold_s`` /
@@ -567,7 +568,6 @@ class ArrayRoundEngine(RoundEngine):
         *,
         incremental: bool = False,
         rng: Optional[np.random.Generator] = None,
-        legacy_apply: bool = False,
         **daemon_options: object,
     ) -> None:
         super().__init__(
@@ -590,7 +590,6 @@ class ArrayRoundEngine(RoundEngine):
             self._kind = "farthest"
         else:
             self._kind = None  # unknown metric subclass: scalar evaluation
-        self._legacy = bool(legacy_apply)
         self._snap_view: Optional[ColumnarView] = None
         self._snap_ver = -1
         self._snap: Optional[_Snapshot] = None
@@ -631,8 +630,7 @@ class ArrayRoundEngine(RoundEngine):
         t0 = time.perf_counter()
         try:
             if (
-                not self._legacy
-                and todo
+                todo
                 and self._kind in ("hop", "tx", "farthest")
                 and isinstance(view, ColumnarView)
             ):
@@ -769,7 +767,7 @@ class ArrayRoundEngine(RoundEngine):
         n = self.topo.n
         prev = self._snap if self._snap_view is view else None
         s: Optional[_Snapshot] = None
-        if prev is not None and not self._legacy:
+        if prev is not None:
             # Incremental update: cheaper than a rebuild while the dirty
             # rows are a small fraction of the columns (either path is
             # exact; the threshold is pure heuristic).
@@ -790,24 +788,7 @@ class ArrayRoundEngine(RoundEngine):
                 self._update_energy(view, prev)
                 s = prev
         if s is None:
-            s = _Snapshot()
-            par = view.par
-            if kind == "farthest":
-                kids = np.flatnonzero(par >= 0)
-                s.at1, s.at1c, s.at2, s.at1e, s.at2e = _top2(
-                    n, kids, par, view.pdist_raw, view.pe_etx_raw
-                )
-            elif kind == "energy":
-                if self._legacy:
-                    flags = np.fromiter(view._flags, dtype=bool, count=n)
-                    s.flags = flags
-                    kids = np.flatnonzero((par >= 0) & flags)
-                    s.ft1, s.ft1c, s.ft2, s.ft1e, s.ft2e = _top2(
-                        n, kids, par, view.pdist_raw, view.pe_etx_raw
-                    )
-                    self._build_prices(view, s)
-                else:
-                    self._build_energy_full(view, s)
+            s = self._build_full(view, kind)
             self.profile["snapshots_full"] += 1
         else:
             self.profile["snapshots_incremental"] += 1
@@ -951,6 +932,20 @@ class ArrayRoundEngine(RoundEngine):
             frontier = kids
 
     # -- full builds ---------------------------------------------------
+    def _build_full(self, view: ColumnarView, kind: str) -> _Snapshot:
+        """A snapshot of ``view`` built from nothing: the oracle every
+        incremental update must match."""
+        s = _Snapshot()
+        if kind == "farthest":
+            par = view.par
+            s.at1, s.at1c, s.at2, s.at1e, s.at2e = _top2(
+                self.topo.n, np.flatnonzero(par >= 0), par,
+                view.pdist_raw, view.pe_etx_raw,
+            )
+        elif kind == "energy":
+            self._build_energy_full(view, s)
+        return s
+
     def _build_energy_full(self, view: ColumnarView, s: _Snapshot) -> None:
         n = self.topo.n
         par = view.par
@@ -1082,92 +1077,6 @@ class ArrayRoundEngine(RoundEngine):
             tin[kids] = tin[pk] + 1 + (gc - base)
         s.tin = tin
         s.tout = tin + sz
-
-    # -- legacy full price build (the PR-6 baseline) -------------------
-    def _build_prices(self, view: ColumnarView, s: _Snapshot) -> None:
-        """Live-world chain prices as a root-to-leaf prefix scan.
-
-        Kept verbatim as the ``legacy_apply`` snapshot path (per-step
-        from-scratch rebuild, Python DFS for the Euler intervals) — the
-        baseline the deep-scale bench gates the incremental path
-        against.
-        """
-        topo, metric, csr = self.topo, self.metric, self.csr
-        n = topo.n
-        par = view.par
-        flags = s.flags
-        src = topo.source
-        ids = np.arange(n, dtype=np.int64)
-
-        ML = np.zeros(n, dtype=np.float64)
-        att = np.flatnonzero((par >= 0) & (ids != src))
-        if att.size:
-            p = par[att]
-            d = view.pdist_edge[att]
-            de = view.pe_etx_edge[att]
-            r_wo = np.where(s.ft1c[p] == att, s.ft2[p], s.ft1[p])
-            r_e = np.where(s.ft1c[p] == att, s.ft2e[p], s.ft1e[p])
-            cnt_d = csr.count_within(p, d)
-            cnt_r = csr.count_within(p, r_wo)
-            e_rx = metric.e_rx
-            with np.errstate(invalid="ignore"):
-                ncar_d = de + cnt_d * e_rx
-                ncar_r = np.where(r_wo > 0.0, r_e + cnt_r * e_rx, 0.0)
-                ML[att] = np.where(d <= r_wo, 0.0, ncar_d - ncar_r)
-        s.ML = ML
-
-        # Parent forest with the chain-walk's source cut (the walk stops
-        # at the source before reading its parent pointer).
-        par_eff = par.copy()
-        par_eff[src] = -1
-        att_all = np.flatnonzero(par_eff >= 0)
-        cnt = np.bincount(par_eff[att_all], minlength=n).astype(np.int64)
-        fptr = np.concatenate(([0], np.cumsum(cnt))).astype(np.int64)
-        forder = att_all[np.argsort(par_eff[att_all], kind="stable")]
-
-        Pd = np.zeros(n, dtype=np.float64)
-        Pc = np.zeros(n, dtype=np.float64)
-        roots = np.flatnonzero(par_eff < 0)
-        base = np.where(roots == src, 0.0, view.costa[roots])
-        Pd[roots] = base
-        Pc[roots] = base
-        frontier = roots
-        while True:
-            lens = cnt[frontier]
-            tot = int(lens.sum())
-            if tot == 0:
-                break
-            offs = np.repeat(fptr[frontier], lens) + (
-                np.arange(tot, dtype=np.int64)
-                - np.repeat(_excl_cumsum(lens), lens)
-            )
-            kids = forder[offs]
-            pk = par[kids]
-            Pd[kids] = Pd[pk]
-            Pc[kids] = np.where(flags[pk], Pd[pk], Pc[pk]) + ML[kids]
-            frontier = kids
-        s.Pd = Pd
-        s.Pc = Pc
-
-        # Euler intervals over the same forest: subtree membership tests
-        # (loop candidates, correction zones) become interval checks.
-        tin = np.zeros(n, dtype=np.int64)
-        tout = np.zeros(n, dtype=np.int64)
-        t = 0
-        for root in roots.tolist():
-            stack = [(root, False)]
-            while stack:
-                w, done = stack.pop()
-                if done:
-                    tout[w] = t
-                    continue
-                tin[w] = t
-                t += 1
-                stack.append((w, True))
-                for c in forder[fptr[w]:fptr[w + 1]].tolist():
-                    stack.append((c, False))
-        s.tin = tin
-        s.tout = tout
 
     # ------------------------------------------------------------------
     def _evaluate_batch(

@@ -137,29 +137,61 @@ def test_array_engine_bit_identical_warm_start(daemon, metric_name, seed):
     )
 
 
-@settings(**SETTINGS)
-@given(seed=st.integers(0, 100_000), metric_name=st.sampled_from(METRIC_NAMES))
+def _subtree_membership(s):
+    """``inside[u, w]``: ``u`` lies in ``w``'s subtree, per the Euler
+    intervals (their numbering may differ between builds; this may not)."""
+    tin, tout = s.tin, s.tout
+    return (tin[None, :] <= tin[:, None]) & (tin[:, None] < tout[None, :])
+
+
+def _assert_matches_full_build(eng, view, kind, s):
+    """``s`` (an incremental snapshot of ``view``) equals a full build
+    on the same view, bit for bit."""
+    full = eng._build_full(view, kind)
+    if kind == "farthest":
+        names = ("at1", "at1c", "at2", "at1e", "at2e")
+    else:
+        names = ("ft1", "ft1c", "ft2", "ft1e", "ft2e", "ML", "Pd", "Pc")
+        assert np.array_equal(_subtree_membership(s), _subtree_membership(full))
+    for name in names:
+        a, b = getattr(s, name), getattr(full, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("metric_name", ["energy", "farthest"])
 @pytest.mark.parametrize("daemon", ["synchronous", "distributed", "central"])
-def test_legacy_apply_path_bit_identical(daemon, metric_name, seed):
-    """The preserved PR-6 apply path (per-move commits + from-scratch
-    snapshots, ``legacy_apply=True``) replays the same trajectories as
-    the batched/incremental default — it exists as the bench baseline
-    and must stay a pure performance fork."""
-    topo = random_connected_topology(seed)
-    m = metric_by_name(metric_name, EXAMPLE_RADIO)
-    init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
-    new = ArrayRoundEngine(
-        topo, m, daemon=daemon, incremental=True,
-        rng=np.random.default_rng(9),
-    )
-    old = ArrayRoundEngine(
-        topo, m, daemon=daemon, incremental=True,
-        rng=np.random.default_rng(9), legacy_apply=True,
-    )
-    assert_same_trajectory(
-        new.run(list(init), max_rounds=MAX_ROUNDS),
-        old.run(list(init), max_rounds=MAX_ROUNDS),
-    )
+def test_incremental_snapshot_matches_full_build(daemon, metric_name):
+    """Full mode is the oracle for incremental mode: every snapshot the
+    engine patches in place (``_update_energy`` / ``_update_at``) equals
+    a from-nothing build on the same view, from arbitrary illegitimate
+    starts."""
+    incremental = []
+
+    @settings(**SETTINGS)
+    @given(seed=st.integers(0, 100_000))
+    def run(seed):
+        topo = random_connected_topology(seed)
+        m = metric_by_name(metric_name, EXAMPLE_RADIO)
+        init = arbitrary_states(topo, m, np.random.default_rng(seed + 1))
+        eng = ArrayRoundEngine(
+            topo, m, daemon=daemon, incremental=True,
+            rng=np.random.default_rng(9),
+        )
+        snapshot = eng._snapshot
+
+        def checked(view, kind):
+            before = eng.profile["snapshots_incremental"]
+            s = snapshot(view, kind)
+            if eng.profile["snapshots_incremental"] > before:
+                _assert_matches_full_build(eng, view, kind, s)
+            return s
+
+        eng._snapshot = checked
+        eng.run(list(init), max_rounds=MAX_ROUNDS)
+        incremental.append(eng.profile["snapshots_incremental"])
+
+    run()
+    assert sum(incremental) > 0  # the incremental path really ran
 
 
 # ----------------------------------------------------------------------

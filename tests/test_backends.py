@@ -448,7 +448,7 @@ class TestCliBackend:
         assert "rounds" in cell and "mean" in cell["rounds"]
         assert cell["rounds"]["half_width"] is None  # one seed -> ±inf
 
-    def test_dry_run_does_not_create_cache_dir(self, tmp_path, capsys):
+    def test_dry_run_does_not_create_store(self, tmp_path, capsys):
         absent = tmp_path / "never-created"
         assert main(
             ["--backend", "rounds", "--protocols", "ss-spst", "--seeds", "1",
@@ -474,8 +474,8 @@ class TestCliBackend:
 
 
 class TestBackendSmoke:
-    """The CI leg's entry point: one tiny campaign on the env-selected
-    backend (``REPRO_TEST_BACKEND``, default des)."""
+    """One tiny campaign through the CLI on each backend (the
+    ``test_backend`` fixture), cold then warm."""
 
     def test_campaign_cli_smoke(self, test_backend, tmp_path, capsys):
         if test_backend == "rounds":

@@ -175,7 +175,7 @@ class TestRunResultAttrPassthrough:
         assert clone.summary == result.summary
 
 
-class TestResultCache:
+class TestJsonDirStore:
     def test_store_load_roundtrip(self, tmp_path):
         cfg = fast_base(protocol="flooding")
         result = run_scenario(cfg)

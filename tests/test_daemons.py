@@ -8,11 +8,11 @@ daemon-specific semantics: quiescence certification for the partial
 limit cycles the randomized daemon escapes, registry/shim behavior, and
 the evaluations-accounting fix (the converged-check pass is not work).
 
-``REPRO_TEST_DAEMON`` (see ``conftest.py``) selects the daemon for the
-generic single-daemon tests; CI matrixes it over {central, randomized}.
+The generic single-daemon tests take the ``test_daemon`` fixture (see
+``conftest.py``), so each runs under both the central and the
+randomized daemon.  The array engine's replay of this whole
+daemon × metric matrix is pinned in ``test_array_engine.py``.
 """
-
-import os
 
 import numpy as np
 import pytest
@@ -28,7 +28,6 @@ from repro.core import (
     check_closure,
     check_convergence,
     daemon_by_name,
-    engine_for,
     fresh_states,
     is_legitimate,
     metric_by_name,
@@ -60,15 +59,8 @@ def random_connected_topology(seed, n_min=5, n_max=12):
 
 
 def engine(topo, metric, daemon, incremental, seed=0):
-    # Engine-generic on the REPRO_TEST_ENGINE axis: the array engine is
-    # bit-identical to the object engine by contract, so every assertion
-    # in this module must hold unchanged under either implementation.
-    return engine_for(
-        topo,
-        metric,
-        daemon,
-        incremental=incremental,
-        engine=os.environ.get("REPRO_TEST_ENGINE", "object"),
+    return RoundEngine(
+        topo, metric, daemon=daemon, incremental=incremental,
         rng=np.random.default_rng(seed),
     )
 
@@ -236,7 +228,7 @@ class TestDistributed:
 
 
 # ----------------------------------------------------------------------
-# Generic engine behavior under the CI-matrixed daemon
+# Generic engine behavior under both fixture daemons
 # ----------------------------------------------------------------------
 class TestEnvDaemon:
     def test_lemma1_and_2_under_env_daemon(self, test_daemon):

@@ -383,8 +383,8 @@ class TestBackendParity:
         assert sorted(net.receivers) == sorted(topo.members - {topo.source})
 
     def test_parity_under_env_selected_mobility(self, test_mobility):
-        """The CI scenario-models leg routes a non-default mobility model
-        through the same parity contract."""
+        """A non-default mobility model (the ``test_mobility`` fixture)
+        goes through the same parity contract."""
         cfg = ScenarioConfig.quick(
             n_nodes=20, group_size=6, sim_time=12.0, mobility=test_mobility
         )
