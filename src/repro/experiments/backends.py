@@ -375,14 +375,15 @@ class RoundRunResult:
         return getattr(summary, item)
 
 
-def build_round_scenario(config: ScenarioConfig):
-    """``(topology, metric)`` for a config's round-model realization.
+def round_scenarios(config: ScenarioConfig):
+    """``(topologies, metric)``: one topology per multicast group.
 
     The scenario structure comes from the config's scenario models via
     :func:`~repro.experiments.scenario_models.build_scenario_space` —
     the *identical* named-RNG-substream path the DES runner builds from —
-    so this is the t = 0 snapshot of the DES scenario: same placement,
-    same mobility starting point, same multicast group, for every
+    so each topology is the t = 0 snapshot of the DES scenario: same
+    placement, same mobility starting point, rooted at its group's
+    source with its group's receivers, for every
     placement/mobility/membership model and every protocol sharing the
     seed.  The metric is the config protocol's SS-SPST cost metric over
     the config's radio constants.
@@ -395,12 +396,16 @@ def build_round_scenario(config: ScenarioConfig):
 
     space = build_scenario_space(config)
     topo_cls = SparseTopology if config.topology == "sparse" else Topology
-    topo = topo_cls.from_positions(
-        space.mobility.positions(0.0),
-        config.max_range,
-        source=space.source,
-        members=space.receivers,
-    )
+    positions = space.mobility.positions(0.0)
+    topologies = [
+        topo_cls.from_positions(
+            positions,
+            config.max_range,
+            source=group.source,
+            members=group.receivers,
+        )
+        for group in space.groups
+    ]
     radio = FirstOrderRadioModel(
         e_elec=config.e_elec,
         e_rx=config.e_rx,
@@ -410,7 +415,13 @@ def build_round_scenario(config: ScenarioConfig):
         d_floor=10.0,  # runner parity
     )
     metric = metric_by_name(SS_PROTOCOL_METRICS[config.protocol], radio)
-    return topo, metric
+    return topologies, metric
+
+
+def build_round_scenario(config: ScenarioConfig):
+    """``(topology, metric)`` of group 0 (see :func:`round_scenarios`)."""
+    topologies, metric = round_scenarios(config)
+    return topologies[0], metric
 
 
 class RoundsBackend(ExperimentBackend):
@@ -445,30 +456,46 @@ class RoundsBackend(ExperimentBackend):
         from repro.groups.metrics import group_tree_stats, jain_index
         from repro.util.rng import RngStreams
 
-        if config.group_count > 1:
-            # k independent engines over one placement; group 0 keeps the
-            # historical daemon stream so its trajectory matches a k=1 run.
-            from repro.groups.driver import run_multigroup_rounds
-
-            return run_multigroup_rounds(config)
-
-        topo, metric = build_round_scenario(config)
+        topologies, metric = round_scenarios(config)
         streams = RngStreams(config.seed)
         # The distributed daemon's local-parallel width is a config knob
         # (daemon_k); other daemons take no options.
         daemon_kwargs = (
             {"k": config.daemon_k} if config.daemon == "distributed" else {}
         )
-        engine = engine_for(
-            topo, metric, config.daemon, engine=config.engine,
-            rng=streams.get("daemon"), **daemon_kwargs,
-        )
-        settled = engine.run(fresh_states(topo, metric))
+
+        # One engine per group over the shared placement.  Group 0 keeps
+        # the historical "daemon" stream, so its trajectory is the same
+        # at every k; group g > 0 draws from "daemon.g".  The groups run
+        # independently (the round model has no medium to contend for):
+        # rounds is the slowest group's, the work counters are sums.
+        rounds = evaluations = moves = chain_steps = 0
+        converged = connected = True
+        costs = []
+        parent_maps, sources, receivers = {}, {}, {}
+        for gid, topo in enumerate(topologies):
+            rng = streams.get("daemon") if gid == 0 else streams.derive("daemon", gid)
+            engine = engine_for(
+                topo, metric, config.daemon, engine=config.engine,
+                rng=rng, **daemon_kwargs,
+            )
+            settled = engine.run(fresh_states(topo, metric))
+            rounds = max(rounds, settled.rounds)
+            evaluations += settled.evaluations
+            moves += settled.moves
+            chain_steps += settled.chain_steps
+            converged = converged and settled.converged
+            connected = connected and topo.is_connected()
+            costs.append(total_cost(settled.states, metric.infinity(topo)))
+            parent_maps[gid] = {i: st.parent for i, st in enumerate(settled.states)}
+            sources[gid] = topo.source
+            receivers[gid] = topo.members - {topo.source}
 
         nan = float("nan")
         recovery = (nan, nan, nan, nan)
-        if settled.converged:
-            # One transient fault on the settled tree: a non-source node
+        if len(topologies) == 1 and settled.converged:
+            # Single-fault recovery is a per-tree notion, measured at
+            # k = 1 only: a non-source node of the settled tree
             # advertises a garbage cost; run_perturbed absorbs it.
             frng = streams.get("faults")
             v = int(frng.integers(1, topo.n))
@@ -489,26 +516,20 @@ class RoundsBackend(ExperimentBackend):
                 float(rec.moves),
                 float(rec.chain_steps),
             )
-        cost = total_cost(settled.states, metric.infinity(topo))
-        parents = {i: st.parent for i, st in enumerate(settled.states)}
-        stats = group_tree_stats(
-            {0: parents},
-            {0: topo.source},
-            {0: sorted(set(topo.members) - {topo.source})},
-        )
+        stats = group_tree_stats(parent_maps, sources, receivers)
         summary = RoundSummary(
-            rounds=settled.rounds,
-            evaluations=settled.evaluations,
-            moves=settled.moves,
-            chain_steps=settled.chain_steps,
-            converged=int(settled.converged),
-            connected=int(topo.is_connected()),
-            total_cost=cost,
+            rounds=rounds,
+            evaluations=evaluations,
+            moves=moves,
+            chain_steps=chain_steps,
+            converged=int(converged),
+            connected=int(connected),
+            total_cost=sum(costs),
             recovery_rounds=recovery[0],
             recovery_evaluations=recovery[1],
             recovery_moves=recovery[2],
             recovery_chain_steps=recovery[3],
-            fairness_jain=jain_index([cost]),
+            fairness_jain=jain_index(costs),
             link_stress_mean=stats["link_stress_mean"],
             link_stress_max=stats["link_stress_max"],
             tree_overlap_ratio=stats["tree_overlap_ratio"],

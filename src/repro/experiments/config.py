@@ -110,15 +110,14 @@ class ScenarioConfig:
     # multicast group: source is node 0; receivers per the membership model
     group_size: int = 20  # receivers + source
 
-    # concurrent multicast sessions (repro.groups).  group_count = 1 is
-    # the paper's single group; k > 1 stabilizes k SS-SPST trees over
-    # one contended network.  Group 0 is always the historical group
-    # (source 0 plus the membership model's receivers, drawn from the
-    # historical "group" substream); groups 1..k-1 come from the
-    # group-size / overlap generators below, drawing only from the
-    # per-group "groups.<gid>" substreams — so a single-group config is
-    # bit-identical to the pre-groups code.  All three fields are
-    # hash-neutral at their defaults.
+    # concurrent multicast sessions (repro.groups).  Every run is k >= 1
+    # groups on one contended network and goes through one code path;
+    # group_count = 1 is the paper's single group.  Group 0 is always
+    # the membership model's group (source 0 plus receivers drawn from
+    # the "group" substream); groups 1..k-1 come from the group-size /
+    # overlap generators below, drawing only from the per-group
+    # "groups.<gid>" substreams, so k = 1 draws nothing extra.  All
+    # three fields are hash-neutral at their defaults.
     group_count: int = 1
     #: how the sizes of groups 1..k-1 derive from group_size:
     #: "fixed" (default) or "linear-ramp" (param ramp_min_frac)

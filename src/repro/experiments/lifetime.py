@@ -15,10 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.experiments.config import ScenarioConfig
-from repro.experiments.runner import build_network
-from repro.experiments.scenario_models import resolved_models
-from repro.metrics.hub import MetricsHub
-from repro.protocols.registry import make_agent_factory
+from repro.experiments.runner import build_network, start_workload
 
 
 @dataclass
@@ -43,19 +40,19 @@ def run_lifetime(
 ) -> LifetimeResult:
     """Run one scenario with finite per-node batteries.
 
-    The source is exempted (a dead source ends the session trivially and
-    measures nothing about the tree's energy placement).
+    Wired exactly like :func:`~repro.experiments.runner.run_scenario`
+    (every group, the config's workload and churn).  Group sources are
+    exempted (a dead source ends its session trivially and measures
+    nothing about the tree's energy placement).
     """
     if battery_j <= 0:
         raise ValueError("battery capacity must be positive")
     sim, network = build_network(config)
-    hub = MetricsHub(n_receivers=len(network.receivers))
-    hub.set_packet_size_hint(config.packet_bytes)
-    network.hub = hub
+    sources = {network.group_source_of(gid) for gid in network.group_ids}
 
     deaths: List[float] = []
     for node in network.nodes:
-        if node.is_source:
+        if node.id in sources:
             continue
         node.battery.capacity_j = battery_j
         node.battery.remaining_j = battery_j
@@ -63,19 +60,7 @@ def run_lifetime(
             lambda nid=node.id: deaths.append(sim.now)
         )
 
-    network.attach_agents(
-        make_agent_factory(
-            config.protocol,
-            beacon_interval=config.beacon_interval,
-            daemon=config.daemon,
-        )
-    )
-    network.start()
-    # The config's scenario models drive the workload and any mid-run
-    # membership churn, exactly as in run_scenario.
-    models = resolved_models(config)
-    models["traffic"].build(network, config).start()
-    models["membership"].install(network, config)
+    hub, _ = start_workload(config, sim, network)
     sim.run(until=config.sim_time)
 
     summary = hub.summary(network.total_energy())

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.energy.radio import FirstOrderRadioModel
 from repro.experiments.config import ScenarioConfig
@@ -11,9 +11,7 @@ from repro.experiments.scenario_models import (
     build_scenario_space,
     resolved_models,
 )
-from repro.groups.agents import GroupDispatchAgent, make_group_dispatch_factory
 from repro.groups.metrics import group_tree_stats
-from repro.groups.traffic import MultiGroupCbr
 from repro.metrics.hub import MetricsHub, RunSummary
 from repro.mobility.analysis import mobility_profile
 from repro.net.mac import MacConfig
@@ -103,6 +101,61 @@ def build_network(config: ScenarioConfig):
     return sim, network
 
 
+def start_workload(
+    config: ScenarioConfig, sim: Simulator, network: Network
+) -> Tuple[MetricsHub, List]:
+    """Wire a built network for a run: hub, agents, traffic, churn, probe.
+
+    One path for every group count: each node serves every group
+    (:func:`~repro.protocols.registry.make_agent_factory`), the workload
+    drives every group's source, and the availability probe reads each
+    group's live receivers.  Returns the hub and the started objects to
+    ``stop()`` after the run.
+    """
+    hub = MetricsHub(
+        n_receivers=len(network.receivers),
+        availability_window=max(2.0, 4.0 * 1.0 / _packets_per_second(config)),
+    )
+    hub.set_packet_size_hint(config.packet_bytes)
+    hub.set_group_receiver_counts(
+        {gid: len(network.group_receivers_of(gid)) for gid in network.group_ids}
+    )
+    network.hub = hub
+
+    network.attach_agents(
+        make_agent_factory(
+            config.protocol,
+            group_ids=network.group_ids,
+            beacon_interval=config.beacon_interval,
+            daemon=config.daemon,
+        )
+    )
+    network.start()
+
+    models = resolved_models(config)
+    traffic = models["traffic"].build(network, config)
+    traffic.start()
+    # Membership models may schedule mid-run join/leave events (rotating;
+    # churn only ever touches group 0, the membership model's group).
+    models["membership"].install(network, config)
+
+    # Receivers are read live: rotating membership changes who they are
+    # mid-run (a no-op for static memberships).
+    def _probe() -> None:
+        for gid in network.group_ids:
+            hub.probe_availability(
+                network.group_receivers_of(gid), sim.now, group=gid
+            )
+
+    prober = PeriodicTimer(
+        sim,
+        config.availability_probe_interval,
+        _probe,
+        start_offset=config.traffic_start + config.availability_probe_interval,
+    )
+    return hub, [network, traffic, prober]
+
+
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Run one full scenario and return its metrics.
 
@@ -112,82 +165,13 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     separate named substreams.
     """
     sim, network = build_network(config)
-    multigroup = config.group_count > 1
-    hub = MetricsHub(
-        n_receivers=len(network.receivers),
-        availability_window=max(2.0, 4.0 * 1.0 / _packets_per_second(config)),
-    )
-    hub.set_packet_size_hint(config.packet_bytes)
-    if multigroup:
-        hub.set_group_receiver_counts(
-            {g.gid: len(g.receivers) for g in network.groups}
-        )
-    network.hub = hub
-
-    if multigroup:
-        # One SS-SPST instance per group per node, one shared medium
-        # (validate_group_models already restricted the protocol family).
-        network.attach_agents(
-            make_group_dispatch_factory(
-                config.protocol,
-                [g.gid for g in network.groups],
-                beacon_interval=config.beacon_interval,
-                daemon=config.daemon,
-            )
-        )
-    else:
-        network.attach_agents(
-            make_agent_factory(
-                config.protocol,
-                beacon_interval=config.beacon_interval,
-                daemon=config.daemon,
-            )
-        )
-    network.start()
-
-    models = resolved_models(config)
-    if multigroup:
-        traffic = MultiGroupCbr(
-            network,
-            rate_kbps=config.rate_kbps,
-            packet_bytes=config.packet_bytes,
-            start_time=config.traffic_start,
-        )
-    else:
-        traffic = models["traffic"].build(network, config)
-    traffic.start()
-    # Membership models may schedule mid-run join/leave events (rotating;
-    # churn only ever touches group 0, the membership model's group).
-    models["membership"].install(network, config)
-
-    # The probed set is read live: rotating membership changes who the
-    # receivers are mid-run (a no-op for static memberships).
-    def _probe() -> None:
-        if multigroup:
-            for g in network.groups:
-                hub.probe_availability(
-                    network.group_receivers_of(g.gid), sim.now, group=g.gid
-                )
-        else:
-            hub.probe_availability(network.receivers, sim.now)
-
-    prober = PeriodicTimer(
-        sim,
-        config.availability_probe_interval,
-        _probe,
-        start_offset=config.traffic_start + config.availability_probe_interval,
-    )
-
+    hub, running = start_workload(config, sim, network)
     sim.run(until=config.sim_time)
-
-    network.stop()
-    traffic.stop()
-    prober.stop()
+    for part in running:
+        part.stop()
 
     parent_changes = sum(
-        node.agent.parent_changes
-        for node in network.nodes
-        if isinstance(node.agent, (SSSPSTAgent, GroupDispatchAgent))
+        getattr(node.agent, "parent_changes", 0) for node in network.nodes
     )
     tree_stats = _final_tree_stats(network)
     profile = _mobility_profile(config)
@@ -219,18 +203,16 @@ def _final_tree_stats(network: Network) -> Dict[str, float]:
     parent_maps: Dict[int, Dict[int, Optional[int]]] = {}
     sources: Dict[int, int] = {}
     receivers: Dict[int, object] = {}
-    for group in network.groups:
+    for gid in network.group_ids:
         parents: Dict[int, Optional[int]] = {}
         for node in network.nodes:
-            agent = node.agent
-            if isinstance(agent, GroupDispatchAgent):
-                agent = agent.agent_for(group.gid)
+            agent = node.agent.agent_for(gid)
             if not isinstance(agent, SSSPSTAgent):
                 return {}
             parents[node.id] = agent.state.parent
-        parent_maps[group.gid] = parents
-        sources[group.gid] = network.group_source_of(group.gid)
-        receivers[group.gid] = network.group_receivers_of(group.gid)
+        parent_maps[gid] = parents
+        sources[gid] = network.group_source_of(gid)
+        receivers[gid] = network.group_receivers_of(gid)
     return group_tree_stats(parent_maps, sources, receivers)
 
 

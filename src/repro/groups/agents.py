@@ -10,23 +10,23 @@ sub-agents and routes each received frame to the instance whose
 garbage to that instance, exactly like a foreign protocol's frames are
 to a single agent).
 
-Group 0's sub-agent is constructed and started first and draws from the
-historical ``"beacon.<id>"`` substream, so a one-group dispatch is
-draw-for-draw identical to a bare agent (the runner still skips the
-dispatcher entirely at ``group_count == 1``; this invariant is belt and
-braces for tests that compare the two paths).
+The sub-agents are built by
+:func:`~repro.protocols.registry.make_agent_factory`, which hands a
+one-group node its bare agent instead: there is nothing to dispatch.
+Group 0's sub-agent is started first and draws from the historical
+``"beacon.<id>"`` substream, so group 0 of a k-group run draws exactly
+like the agent of a one-group run.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict
 
-from repro.core.daemons import require_des_daemon
-from repro.core.metrics import metric_by_name
 from repro.net.node import Node, ProtocolAgent
 from repro.net.packet import Packet
-from repro.protocols.registry import _SS_FAMILY
-from repro.protocols.ss_spst import SSSPSTAgent, SSSPSTConfig
+
+if TYPE_CHECKING:  # the registry imports this module
+    from repro.protocols.ss_spst import SSSPSTAgent
 
 
 class GroupDispatchAgent(ProtocolAgent):
@@ -69,50 +69,3 @@ class GroupDispatchAgent(ProtocolAgent):
         if agent is None:
             return False  # unknown session: overheard garbage
         return agent.handle_packet(packet)
-
-    def originate_data(self, size_bytes: Optional[int] = None, group: int = 0):
-        """Inject one data packet into group ``group`` (its source only)."""
-        return self.subagents[group].originate_data(size_bytes)
-
-
-def make_group_dispatch_factory(
-    protocol: str,
-    group_ids: List[int],
-    *,
-    beacon_interval: float = 2.0,
-    daemon: str = "distributed",
-    ss_config: Optional[SSSPSTConfig] = None,
-) -> Callable[[Node], GroupDispatchAgent]:
-    """A ``factory(node)`` building the per-group agent bundle.
-
-    Mirrors :func:`repro.protocols.registry.make_agent_factory`'s SS-SPST
-    branch knob-for-knob (undamped SS-SPST-F, activation = daemon) so a
-    multi-group run differs from k single-group runs only by contention.
-    """
-    protocol = protocol.lower()
-    require_des_daemon(daemon)
-    metric_name = _SS_FAMILY.get(protocol)
-    if metric_name is None:
-        raise ValueError(
-            f"protocol {protocol!r} has no multi-group realization; "
-            f"choose from {tuple(_SS_FAMILY)}"
-        )
-    if ss_config is not None:
-        config = ss_config
-    else:
-        undamped = metric_name == "farthest"
-        config = SSSPSTConfig(
-            beacon_interval=beacon_interval,
-            switch_threshold=0.0 if undamped else 0.10,
-            hold_down_intervals=0.0 if undamped else 3.0,
-            activation=daemon,
-        )
-
-    def factory(node: Node) -> GroupDispatchAgent:
-        subagents = {}
-        for gid in group_ids:
-            metric = metric_by_name(metric_name, node.network.radio)
-            subagents[gid] = SSSPSTAgent(node, metric, config, group_id=gid)
-        return GroupDispatchAgent(node, subagents)
-
-    return factory

@@ -92,8 +92,6 @@ class Node:
         self.agent: Optional[ProtocolAgent] = None
         self.alive = True
         self.tx_busy_until = 0.0
-        self.is_member = False  # multicast group membership
-        self.is_source = False
 
     # ------------------------------------------------------------------
     @property
@@ -137,12 +135,7 @@ class Node:
                 self.agent.on_node_death()
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
-        flags = "".join(
-            c
-            for c, on in (("S", self.is_source), ("M", self.is_member))
-            if on
-        )
-        return f"Node({self.id}{' ' + flags if flags else ''})"
+        return f"Node({self.id})"
 
 
 class Network:
@@ -201,11 +194,11 @@ class Network:
         ]
         self._pos_cache_t = -1.0
         self._pos_cache: Optional[np.ndarray] = None
-        # multi-group side tables (repro.groups).  Group 0 stays on the
-        # historical per-node flags; groups 1..k-1 live here only.
-        self.groups: list = []
+        # The live membership table: group id -> source, and group id ->
+        # members (source included).  Filled by set_groups; mid-run churn
+        # edits group 0's entry through update_membership.
         self._group_sources: Dict[int, NodeId] = {}
-        self._group_receivers: Dict[int, frozenset] = {}
+        self._group_members: Dict[int, Set[NodeId]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -234,82 +227,61 @@ class Network:
         return adj
 
     # ------------------------------------------------------------------
-    def set_group(self, source: NodeId, members: Sequence[NodeId]) -> None:
-        """Declare the multicast source and receiver membership."""
-        for node in self.nodes:
-            node.is_member = False
-            node.is_source = False
-        self.nodes[source].is_source = True
-        self.nodes[source].is_member = True
-        for m in members:
-            self.nodes[m].is_member = True
-
     def set_groups(self, groups) -> None:
-        """Declare k concurrent multicast groups (``GroupSpec`` sequence).
+        """Declare the multicast groups (``GroupSpec`` sequence, ids 0..k-1).
 
-        Group 0 is installed through :meth:`set_group` — the per-node
-        ``is_member``/``is_source`` flags every single-group code path
-        reads — so a one-group call is indistinguishable from the
-        historical API.  Groups 1..k-1 go into side tables consulted by
-        the per-group query methods below.
+        Every group, group 0 included, lives in one membership table that
+        the per-group queries below read live.
         """
         groups = list(groups)
-        if not groups or groups[0].gid != 0:
-            raise ValueError("set_groups needs group 0 first")
-        self.groups = groups
-        self.set_group(groups[0].source, groups[0].receivers)
+        if not groups or [g.gid for g in groups] != list(range(len(groups))):
+            raise ValueError("set_groups needs group ids 0..k-1 in order")
         self._group_sources = {g.gid: g.source for g in groups}
-        self._group_receivers = {
-            g.gid: frozenset(g.receivers) for g in groups
+        self._group_members = {
+            g.gid: {g.source, *g.receivers} for g in groups
         }
 
+    @property
+    def group_ids(self) -> range:
+        """The declared group ids, ``0..k-1``."""
+        return range(len(self._group_sources))
+
     def group_source_of(self, gid: int) -> NodeId:
-        """The source node of group ``gid`` (0 = the historical group)."""
-        if gid == 0 and not self._group_sources:
-            return self.source
+        """The source node of group ``gid``."""
         return self._group_sources[gid]
 
-    def group_receivers_of(self, gid: int) -> frozenset:
-        """Receiver set of group ``gid`` (source excluded)."""
-        if gid == 0 and not self._group_receivers:
-            return frozenset(self.receivers)
-        return self._group_receivers[gid]
+    def group_receivers_of(self, gid: int) -> Set[NodeId]:
+        """Current receiver set of group ``gid`` (source excluded)."""
+        return self._group_members[gid] - {self._group_sources[gid]}
 
     def is_group_member(self, gid: int, v: NodeId) -> bool:
-        """Membership (source or receiver) of node ``v`` in group ``gid``.
-
-        Group 0 delegates to the live per-node flags so mid-run churn
-        (the ``rotating`` membership model) stays visible.
-        """
-        if gid == 0:
-            return self.nodes[v].is_member
-        return v == self._group_sources[gid] or v in self._group_receivers[gid]
+        """Membership (source or receiver) of node ``v`` in group ``gid``."""
+        return v in self._group_members[gid]
 
     def is_group_source(self, gid: int, v: NodeId) -> bool:
         """Whether node ``v`` sources group ``gid``."""
-        if gid == 0:
-            return self.nodes[v].is_source
         return v == self._group_sources[gid]
 
     def update_membership(
         self, joins: Sequence[NodeId] = (), leaves: Sequence[NodeId] = ()
     ) -> None:
-        """Apply mid-run group churn (the ``rotating`` membership model).
+        """Apply mid-run churn to group 0 (the ``rotating`` membership model).
 
         The source can never leave (the session is rooted there); changed
         nodes get their agent's :meth:`ProtocolAgent.on_membership_change`
         hook so membership-latched timers can react.
         """
+        members = self._group_members[0]
         changed = []
         for v in leaves:
-            if self.nodes[v].is_source:
+            if v == self._group_sources[0]:
                 raise ValueError("the multicast source cannot leave the group")
-            if self.nodes[v].is_member:
-                self.nodes[v].is_member = False
+            if v in members:
+                members.discard(v)
                 changed.append(v)
         for v in joins:
-            if not self.nodes[v].is_member:
-                self.nodes[v].is_member = True
+            if v not in members:
+                members.add(v)
                 changed.append(v)
         for v in changed:
             agent = self.nodes[v].agent
@@ -318,19 +290,18 @@ class Network:
 
     @property
     def members(self) -> Set[NodeId]:
-        return {nd.id for nd in self.nodes if nd.is_member}
+        """Group 0's current members (source included)."""
+        return set(self._group_members[0])
 
     @property
     def source(self) -> NodeId:
-        for nd in self.nodes:
-            if nd.is_source:
-                return nd.id
-        raise RuntimeError("no multicast source declared")
+        """Group 0's source."""
+        return self._group_sources[0]
 
     @property
     def receivers(self) -> Set[NodeId]:
-        """Group members excluding the source."""
-        return {nd.id for nd in self.nodes if nd.is_member and not nd.is_source}
+        """Group 0's current members excluding the source."""
+        return self.group_receivers_of(0)
 
     # ------------------------------------------------------------------
     def attach_agents(self, factory) -> None:

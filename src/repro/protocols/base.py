@@ -50,9 +50,8 @@ class MulticastAgent(ProtocolAgent):
 
     def __init__(self, node: Node, group_id: int = 0) -> None:
         super().__init__(node)
-        #: which multicast session this agent serves.  0 is the
-        #: historical single group (per-node flags); agents for groups
-        #: 1..k-1 read the network's group side tables instead.
+        #: which multicast session this agent serves; its role is read
+        #: live from the network's membership table for that group
         self.group_id = int(group_id)
         self.dups = DuplicateCache()
         self._data_seq = 0
@@ -60,15 +59,17 @@ class MulticastAgent(ProtocolAgent):
     # ------------------------------------------------------------------
     @property
     def is_member(self) -> bool:
-        if self.group_id == 0:
-            return self.node.is_member
         return self.network.is_group_member(self.group_id, self.node.id)
 
     @property
     def is_source(self) -> bool:
-        if self.group_id == 0:
-            return self.node.is_source
         return self.network.is_group_source(self.group_id, self.node.id)
+
+    def agent_for(self, gid: int) -> "MulticastAgent":
+        """The agent serving group ``gid`` on this node: itself."""
+        if gid != self.group_id:
+            raise KeyError(f"node {self.node.id} serves group {self.group_id}, not {gid}")
+        return self
 
     @property
     def hub(self):

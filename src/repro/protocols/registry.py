@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from repro.core.daemons import require_des_daemon
 from repro.core.metrics import metric_by_name
+from repro.groups.agents import GroupDispatchAgent
 from repro.net.node import Node, ProtocolAgent
 from repro.protocols.flooding import FloodingAgent
 from repro.protocols.maodv import MaodvAgent, MaodvConfig
@@ -26,6 +27,7 @@ PROTOCOL_NAMES = tuple(_SS_FAMILY) + ("maodv", "odmrp", "flooding")
 def make_agent_factory(
     protocol: str,
     *,
+    group_ids: Sequence[int] = (0,),
     beacon_interval: float = 2.0,
     daemon: str = "distributed",
     ss_config: Optional[SSSPSTConfig] = None,
@@ -34,6 +36,12 @@ def make_agent_factory(
 ) -> Callable[[Node], ProtocolAgent]:
     """Return a ``factory(node) -> agent`` for :meth:`Network.attach_agents`.
 
+    ``group_ids`` are the multicast sessions every node serves.  The
+    SS-SPST family builds one agent per group and, for more than one,
+    puts them behind a :class:`~repro.groups.agents.GroupDispatchAgent`;
+    the on-demand baselines serve group 0 only
+    (:func:`~repro.groups.models.validate_group_models` rejects them at
+    k > 1).
     ``beacon_interval`` is a convenience for the SS-SPST family (the
     paper's Figure 10/11 sweep); pass a full ``ss_config`` to tune more.
     ``daemon`` selects the activation discipline realized by the SS-SPST
@@ -60,8 +68,16 @@ def make_agent_factory(
             )
 
         def factory(node: Node) -> ProtocolAgent:
-            metric = metric_by_name(metric_name, node.network.radio)
-            return SSSPSTAgent(node, metric, config)
+            agents = {
+                gid: SSSPSTAgent(
+                    node,
+                    metric_by_name(metric_name, node.network.radio),
+                    config,
+                    group_id=gid,
+                )
+                for gid in group_ids
+            }
+            return agents[0] if len(agents) == 1 else GroupDispatchAgent(node, agents)
 
         return factory
     if protocol == "maodv":

@@ -2,8 +2,7 @@
 
 This subpackage replaces the ns-2 core the paper ran on: a deterministic
 event heap (:mod:`repro.sim.events`), a simulation environment with
-scheduling and run control (:mod:`repro.sim.kernel`), a lightweight
-generator-based process layer (:mod:`repro.sim.process`) and
+scheduling and run control (:mod:`repro.sim.kernel`) and
 self-rescheduling timers (:mod:`repro.sim.timers`).
 
 The kernel is intentionally minimal and allocation-light: events are
@@ -13,15 +12,11 @@ cancellation is O(1) lazy (cancelled events are skipped when popped).
 
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator, SimulationError
-from repro.sim.process import Process, Signal, start_process
 from repro.sim.timers import PeriodicTimer
 
 __all__ = [
     "Event",
     "Simulator",
     "SimulationError",
-    "Process",
-    "Signal",
-    "start_process",
     "PeriodicTimer",
 ]

@@ -1,14 +1,20 @@
-"""Constant-bit-rate multicast source.
+"""Constant-bit-rate multicast sources.
 
 The paper's workload: "one node [is] the source of the multicast session
 sending CBR data packets at the rate of 64 Kbps" (section 6).  With the
 default 512-byte payload that is 15.625 packets/s; both rate and size are
 configurable so the benches can run scaled-down workloads.
+
+Every multicast group gets one such flow from its own source.  With k
+groups the flows start staggered across one packet interval
+(``start_time + gid * interval / k``) so k sessions do not slam the
+medium in phase: the offered load per group is the same, only the
+phases differ, and no RNG is consumed.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List
 
 from repro.net.node import Network
 from repro.sim.timers import PeriodicTimer
@@ -16,7 +22,7 @@ from repro.util.units import bytes_to_bits, kbps_to_bps
 
 
 class CbrSource:
-    """Drives the source node's agent with periodic data packets."""
+    """Drives each group's source agent with periodic data packets."""
 
     def __init__(
         self,
@@ -24,7 +30,6 @@ class CbrSource:
         rate_kbps: float = 64.0,
         packet_bytes: int = 512,
         start_time: float = 0.0,
-        jitter: float = 0.0,
     ) -> None:
         if rate_kbps <= 0 or packet_bytes <= 0:
             raise ValueError("rate and packet size must be positive")
@@ -32,29 +37,29 @@ class CbrSource:
         self.packet_bytes = int(packet_bytes)
         self.interval = bytes_to_bits(packet_bytes) / kbps_to_bps(rate_kbps)
         self.start_time = float(start_time)
-        self.jitter = float(jitter)
         self.packets_sent = 0
-        self._timer: Optional[PeriodicTimer] = None
+        self._timers: List[PeriodicTimer] = []
 
     def start(self) -> None:
-        """Begin generating packets at ``start_time``."""
-        rng = self.network.streams.get("cbr") if self.jitter > 0 else None
-        self._timer = PeriodicTimer(
-            self.network.sim,
-            self.interval,
-            self._emit,
-            jitter=self.jitter,
-            rng=rng,
-            start_offset=self.start_time,
-        )
+        """Begin one flow per group, group 0 at ``start_time``."""
+        k = len(self.network.group_ids)
+        for gid in self.network.group_ids:
+            self._timers.append(
+                PeriodicTimer(
+                    self.network.sim,
+                    self.interval,
+                    lambda gid=gid: self._emit(gid),
+                    start_offset=self.start_time + gid * self.interval / k,
+                )
+            )
 
     def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
+        for timer in self._timers:
+            timer.stop()
 
-    def _emit(self) -> None:
-        source = self.network.nodes[self.network.source]
+    def _emit(self, gid: int) -> None:
+        source = self.network.nodes[self.network.group_source_of(gid)]
         if not source.alive or source.agent is None:
             return
-        source.agent.originate_data(self.packet_bytes)
+        source.agent.agent_for(gid).originate_data(self.packet_bytes)
         self.packets_sent += 1

@@ -230,8 +230,8 @@ class TestDistributed:
 # ----------------------------------------------------------------------
 # Generic engine behavior under both fixture daemons
 # ----------------------------------------------------------------------
-class TestEnvDaemon:
-    def test_lemma1_and_2_under_env_daemon(self, test_daemon):
+class TestFixtureDaemons:
+    def test_lemma1_and_2_under_fixture_daemon(self, test_daemon):
         topo = random_connected_topology(17)
         m = metric_by_name("hop", EXAMPLE_RADIO)
         report = check_convergence(topo, m, test_daemon, fresh_states(topo, m))

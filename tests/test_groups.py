@@ -36,8 +36,12 @@ from repro.experiments.backends import backend_by_name, build_round_scenario
 from repro.experiments.campaign import config_key, main
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import run_scenario
-from repro.experiments.scenario_models import build_scenario_space
+from repro.experiments.lifetime import run_lifetime
+from repro.experiments.runner import build_network, run_scenario
+from repro.experiments.scenario_models import (
+    build_scenario_space,
+    resolved_models,
+)
 from repro.graph.io import (
     SCENARIO_SCHEMA,
     ScenarioDocument,
@@ -176,6 +180,56 @@ class TestSingleGroupGolden:
         assert g.gid == 0
         assert g.source == space.source
         assert g.receivers == tuple(space.receivers)
+
+
+class TestMultiGroupGolden:
+    """k > 1 values computed on the commit that still ran k > 1 on its
+    own code path beside the k = 1 one; the single path must reproduce
+    them bit for bit."""
+
+    def test_des_k3_summary_unchanged(self):
+        r = run_scenario(
+            ScenarioConfig.quick(
+                n_nodes=24, group_size=5, group_count=3,
+                sim_time=20.0, seed=11,
+            )
+        )
+        assert r.summary.as_dict() == {
+            "pdr": 0.7455673758865248,
+            "energy_per_packet_mj": 39.40485776732484,
+            "avg_delay_ms": 15.404538083826377,
+            "control_overhead": 0.0687657922116528,
+            "unavailability": 0.0763888888888889,
+            "data_originated": 282,
+            "data_delivered": 841,
+            "total_energy_j": 33.13948538232019,
+            "control_bytes_tx": 29610,
+            "data_bytes_tx": 560640,
+            "duplicates_suppressed": 0,
+        }
+        assert r.events_executed == 11136
+        assert r.frames_sent == 1818
+        assert r.frames_collided == 197
+        assert r.parent_changes == 134
+        assert r.fairness_jain == 0.9749373848149392
+        assert r.group_pdr_min == 0.5957446808510638
+
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    @pytest.mark.parametrize(
+        "group_count, expected",
+        [
+            (2, (5, 232, 71, 0.00010230660149643654)),
+            (4, (7, 539, 171, 0.00015655884287543639)),
+        ],
+    )
+    def test_rounds_shared_core_unchanged(self, engine, group_count, expected):
+        cfg = ScenarioConfig(
+            backend="rounds", engine=engine, n_nodes=30, group_size=6,
+            group_count=group_count, overlap_model="shared-core", seed=5,
+        )
+        s = backend_by_name("rounds").run(cfg).summary
+        assert (s.rounds, s.evaluations, s.moves, s.total_cost) == expected
+        assert s.converged == 1
 
 
 # ----------------------------------------------------------------------
@@ -387,6 +441,34 @@ class TestMultiGroupRuns:
         assert (a.pdr, a.fairness_jain, a.events_executed, a.frames_sent) == (
             b.pdr, b.fairness_jain, b.events_executed, b.frames_sent,
         )
+
+    def test_group0_receivers_follow_rotation(self):
+        """The group table is the live membership: after ``rotating``
+        churn, group 0's receivers are the rotated set, not the t = 0
+        one (the availability probe and the link-stress walk read it)."""
+        cfg = ScenarioConfig.quick(
+            n_nodes=20, group_size=5, group_count=2, sim_time=30.0, seed=3,
+            membership="rotating", model_params={"rotation_period": 5.0},
+        )
+        sim, net = build_network(cfg)
+        t0 = set(net.group_receivers_of(0))
+        resolved_models(cfg)["membership"].install(net, cfg)
+        sim.run(until=cfg.sim_time)
+        assert net.group_receivers_of(0) == net.receivers
+        assert net.group_receivers_of(0) != t0
+        assert len(net.group_receivers_of(0)) == cfg.group_size - 1
+
+    def test_lifetime_runs_every_group(self):
+        """A battery-limited run wires all k groups, like run_scenario:
+        three CBR flows drain batteries faster and deliver more."""
+        base = ScenarioConfig.quick(
+            n_nodes=20, group_size=5, sim_time=15.0, seed=4
+        )
+        one = run_lifetime(base, 0.2)
+        three = run_lifetime(base.replace(group_count=3), 0.2)
+        assert three.delivered > one.delivered
+        assert three.first_death_t < one.first_death_t
+        assert len(three.deaths) > len(one.deaths)
 
     def test_figg01_registered(self):
         fig = FIGURES["figg01"]

@@ -7,6 +7,7 @@ import pytest
 from repro.core.metrics import EnergyAwareMetric, HopMetric
 from repro.core.state import NodeState
 from repro.energy import FirstOrderRadioModel
+from repro.groups import GroupSpec
 from repro.mobility import StaticPlacement
 from repro.net import MacConfig, Network
 from repro.protocols.registry import make_agent_factory
@@ -26,7 +27,8 @@ def settled_network(positions, protocol="ss-spst-e", members=None, until=10.0):
         len(positions), Arena(1000, 1000), positions=np.array(positions, dtype=float)
     )
     net = Network(sim, mob, RADIO, streams, mac_config=MacConfig())
-    net.set_group(source=0, members=members if members is not None else range(1, mob.n))
+    receivers = members if members is not None else range(1, mob.n)
+    net.set_groups([GroupSpec(gid=0, source=0, receivers=tuple(receivers))])
     net.hub = MetricsHub(n_receivers=len(net.receivers))
     net.attach_agents(make_agent_factory(protocol))
     net.start()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.energy import FirstOrderRadioModel
+from repro.groups import GroupSpec
 from repro.mobility import StaticPlacement
 from repro.net import (
     CsmaMac,
@@ -298,7 +299,7 @@ class TestNeighborTable:
 class TestNetwork:
     def test_group_declaration(self):
         sim, net = make_network([[0, 0], [100, 0], [200, 0]])
-        net.set_group(source=0, members=[2])
+        net.set_groups([GroupSpec(gid=0, source=0, receivers=(2,))])
         assert net.source == 0
         assert net.members == {0, 2}
         assert net.receivers == {2}

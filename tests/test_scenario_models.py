@@ -382,7 +382,7 @@ class TestBackendParity:
         assert net.source == topo.source
         assert sorted(net.receivers) == sorted(topo.members - {topo.source})
 
-    def test_parity_under_env_selected_mobility(self, test_mobility):
+    def test_parity_under_fixture_mobility(self, test_mobility):
         """A non-default mobility model (the ``test_mobility`` fixture)
         goes through the same parity contract."""
         cfg = ScenarioConfig.quick(
@@ -439,7 +439,7 @@ class TestMembership:
         t_end = sorted(net.receivers)
         assert len(t_end) == len(t0) == cfg.group_size - 1
         assert t_end != t0  # at least one rotation happened
-        assert net.source == 0 and net.nodes[0].is_member
+        assert net.source == 0 and 0 in net.members
 
     def test_rotation_never_admits_dead_nodes(self):
         """Battery-limited runs deplete nodes; rotation must not join a
@@ -454,7 +454,7 @@ class TestMembership:
         )
         sim, net = build_network(cfg)
         for node in net.nodes:  # every non-member is dead
-            if not node.is_member:
+            if node.id not in net.members:
                 node.alive = False
         members_t0 = set(net.members)
         resolved_models(cfg)["membership"].install(net, cfg)
@@ -776,7 +776,7 @@ class TestCliAndFigures:
             assert isinstance(holds, bool), desc
 
 
-class TestRunnerUnderEnvMobility:
+class TestRunnerUnderFixtureMobility:
     def test_runner_smoke_with_fixture_mobility(self, test_mobility):
         cfg = fast_base(protocol="ss-spst-e", mobility=test_mobility)
         result = run_scenario(cfg)

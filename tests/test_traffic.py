@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.energy import FirstOrderRadioModel
+from repro.groups import GroupSpec
 from repro.metrics.hub import MetricsHub
 from repro.mobility import StaticPlacement
 from repro.net import MacConfig, Network
@@ -21,7 +22,7 @@ def build():
         3, Arena(1000, 1000), positions=np.array([[0.0, 0.0], [200.0, 0.0], [400.0, 0.0]])
     )
     net = Network(sim, mob, FirstOrderRadioModel(e_elec=1e-6), streams, mac_config=MacConfig())
-    net.set_group(source=0, members=[2])
+    net.set_groups([GroupSpec(gid=0, source=0, receivers=(2,))])
     net.hub = MetricsHub(n_receivers=1)
     net.attach_agents(make_agent_factory("flooding"))
     net.start()
