@@ -36,10 +36,6 @@ studies to 10^4-10^5.  This bench pins that claim:
   cannot even be built (an (n, n) float64 matrix would be 80 GB), with
   the per-stage profile asserting commit+snapshot is no longer the
   dominant cost.
-* **store-throughput cell** — deep-scale campaigns persist one record
-  per run, so the result store must keep up: bulk-ingest rate and
-  warm-lookup latency for the JSON record dir vs the SQLite columnar
-  store over 10^4 realistic records (scaled down with ``..._N``).
 
 Knobs: ``REPRO_BENCH_DEEPSCALE_N`` rescales the headline cells (CI quick
 mode uses 2000), ``REPRO_BENCH_FULL=1`` adds the 10^5 cell, and
@@ -203,8 +199,6 @@ def _measure():
         }
     stats["speedup_tx_sync"] = speedup
 
-    stats["store"] = _store_cell()
-
     if FULL:
         for m in ("hop", "tx"):
             c = _cell(_topo(FULL_N), m, "synchronous")[0]
@@ -217,64 +211,6 @@ def _measure():
                 <= prof["evaluate_s"] + prof["fold_s"]
             ), f"commit+snapshot dominates at n={FULL_N}: {prof}"
     return stats
-
-
-def _store_cell():
-    """Result-store throughput: ingest + warm lookup, JSON dir vs SQLite.
-
-    The records are realistic (one real rounds run templated across
-    seeds, keyed by the genuine config hash), and both stores ingest
-    through their bulk path (``put_many``), which is what ``migrate``
-    and a deep-scale campaign's write stream exercise.
-    """
-    import tempfile
-
-    from repro.experiments.campaign import _execute
-    from repro.experiments.config import ScenarioConfig
-    from repro.experiments.store import JsonDirStore, SqliteStore, config_key
-
-    base = ScenarioConfig.quick(
-        backend="rounds", n_nodes=16, group_size=4, protocol="ss-spst"
-    )
-    template = _execute(base)
-    records = min(10_000, max(1000, N))
-    items = []
-    for i in range(records):
-        cfg = base.replace(seed=i + 1)
-        record = dict(template, config=dict(template["config"], seed=i + 1))
-        items.append((config_key(cfg), record))
-    sample = items[:: max(1, records // 500)]
-
-    out = {"records": records}
-    with tempfile.TemporaryDirectory() as tmp:
-        backends = (
-            ("json", lambda: JsonDirStore(os.path.join(tmp, "records"))),
-            (
-                "sqlite",
-                lambda: SqliteStore(
-                    os.path.join(tmp, "records.sqlite"), batch_size=256
-                ),
-            ),
-        )
-        for label, open_backend in backends:
-            store = open_backend()
-            t0 = time.perf_counter()
-            store.put_many(items)
-            store.flush()
-            ingest_s = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            for key, _ in sample:
-                assert store.get(key) is not None
-            lookup_s = (time.perf_counter() - t0) / len(sample)
-            store.close()
-            out[label] = {
-                "ingest_s": ingest_s,
-                "ingest_per_s": (
-                    records / ingest_s if ingest_s > 0 else float("inf")
-                ),
-                "lookup_us": lookup_s * 1e6,
-            }
-    return out
 
 
 def _emit_json(stats) -> None:
@@ -320,14 +256,6 @@ def test_deepscale(benchmark):
         f"{gate['t_full'] * 1e3:.2f}ms vs incremental "
         f"{gate['snapshot_s']:.2f}s -> {gate['ratio']:.1f}x"
     )
-    st = stats["store"]
-    for label in ("json", "sqlite"):
-        cell = st[label]
-        print(
-            f"store[{label}]: {st['records']} records, "
-            f"ingest {cell['ingest_per_s']:.0f}/s, "
-            f"warm lookup {cell['lookup_us']:.0f}us"
-        )
     _emit_json(stats)
     # The headline acceptance: deep-scale stabilization in seconds.
     for c in stats["cells"]:

@@ -7,9 +7,8 @@ ASCII rendering, and asserts the figure's shape checks.
 
 Set ``REPRO_BENCH_SEEDS`` / ``REPRO_BENCH_FULL=1`` to rescale,
 ``REPRO_BENCH_WORKERS=N`` to run each figure's grid on N worker
-processes, and ``REPRO_BENCH_STORE=spec`` (a JSON record dir, a
-``.sqlite`` path, or an explicit ``json:``/``sqlite:`` spec) to persist
-runs across bench sessions.
+processes, and ``REPRO_BENCH_STORE=path`` (a SQLite result-store file)
+to persist runs across bench sessions.
 """
 
 from __future__ import annotations

@@ -13,8 +13,7 @@ Usage::
     python examples/energy_sweep.py --list
 
 ``--workers N`` fans the figure's grid out over N worker processes and
-``--store`` persists every run (a directory or ``json:DIR`` for the JSON
-record layout, a ``.sqlite`` path for the columnar store), so
+``--store`` persists every run in a SQLite result-store file, so
 re-rendering a figure (or another figure over the same scenarios) costs
 nothing — both are provided by the campaign
 engine (``repro.experiments.campaign``; see docs/campaigns.md).
@@ -42,7 +41,7 @@ def main() -> None:
             print(f"{fid}: {fig.title}")
         if not args:
             print("\nusage: energy_sweep.py <fig_id> [--full] "
-                  "[--workers N] [--store SPEC]")
+                  "[--workers N] [--store PATH]")
         return
 
     fig_id = args[0]

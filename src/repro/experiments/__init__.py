@@ -50,8 +50,6 @@ _LAZY_EXPORTS = {
     "run_campaign": "campaign",
     "collect_campaign": "campaign",
     # store layer
-    "ResultStore": "store",
-    "JsonDirStore": "store",
     "SqliteStore": "store",
     "open_store": "store",
     "migrate_json_dir": "store",
@@ -62,7 +60,6 @@ _LAZY_EXPORTS = {
     "SerialScheduler": "scheduler",
     "AsyncScheduler": "scheduler",
     "CancelCampaign": "scheduler",
-    "scheduler_by_name": "scheduler",
     # aggregation layer
     "Welford": "aggregation",
     "StreamingAggregate": "aggregation",

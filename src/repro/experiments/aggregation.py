@@ -13,7 +13,7 @@ to exactly the values ``CampaignResult.aggregate`` would produce over
 the same runs (bit-for-bit: values are folded in campaign slot order,
 not arrival order, so float non-associativity cannot diverge the two).
 :func:`campaign_status` assembles the same view straight from a
-:class:`~repro.experiments.store.ResultStore`, which is what lets
+:class:`~repro.experiments.store.SqliteStore`, which is what lets
 ``status`` render tables for a campaign that is still running — or that
 some other machine is running.
 """
@@ -94,12 +94,15 @@ class StreamingAggregate:
     (``index`` is the run's position in ``spec.configs()``);
     :meth:`snapshot` folds each cell's landed values in slot order, so
     it equals ``CampaignResult.aggregate`` over the same runs exactly.
+    ``metrics`` defaults to the campaign backends' default metrics.
     """
 
-    def __init__(self, spec, metrics: Sequence[str]) -> None:
-        from repro.experiments.backends import metric_extractor
+    def __init__(self, spec, metrics: Optional[Sequence[str]] = None) -> None:
+        from repro.experiments.backends import default_metrics, metric_extractor
 
         self.spec = spec
+        if metrics is None:
+            metrics = default_metrics(spec.backends())
         self.metrics = tuple(metrics)
         self.total = spec.size()
         self.done = 0
@@ -230,21 +233,16 @@ def campaign_status(
 ) -> CampaignStatus:
     """Assemble the streaming view of ``spec`` from a result store.
 
-    Every run already persisted feeds the per-cell accumulators; runs
-    still pending (or executing elsewhere) simply have not landed yet.
+    Every run already persisted feeds the per-cell accumulators (through
+    :func:`~repro.experiments.campaign.collect_campaign`); runs still
+    pending (or executing elsewhere) simply have not landed yet.
     Read-only: safe to call while schedulers are writing.
     """
-    from repro.experiments.backends import default_metrics
-    from repro.experiments.store import open_store, result_from_record
+    from repro.experiments.campaign import collect_campaign
+    from repro.experiments.store import open_store
 
     store = open_store(store)
-    if metrics is None:
-        metrics = list(default_metrics(spec.backends()))
-    agg = StreamingAggregate(spec, metrics)
-    for i, cfg in enumerate(spec.configs()):
-        record = store.load(cfg)
-        if record is not None:
-            agg.update(i, result_from_record(record))
+    agg = collect_campaign(spec, store, stream_metrics=metrics).stream
     return CampaignStatus(
         spec=spec,
         done=agg.done,

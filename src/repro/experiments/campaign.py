@@ -3,11 +3,11 @@
 The paper's evaluation (section 6) is a grid of scenarios — protocols ×
 parameter values × seed replications.  A :class:`CampaignSpec` declares
 such a grid once; :func:`run_campaign` executes it through three
-pluggable layers (see ``docs/campaigns.md`` for the architecture and
+layers (see ``docs/campaigns.md`` for the architecture and
 operations guide):
 
-* a **result store** (:mod:`repro.experiments.store`) — the JSON record
-  dir or the SQLite columnar store — keyed by a stable hash of the full
+* a **result store** (:mod:`repro.experiments.store`) — one SQLite file
+  keyed by a stable hash of the full
   :class:`~repro.experiments.config.ScenarioConfig`, so re-running a
   campaign (or a different campaign sharing cells) only executes the
   missing runs and an interrupted campaign resumes where it stopped;
@@ -70,14 +70,11 @@ from repro.experiments.store import (
     probe_store,
     result_from_record,
     shard_of,
-    store_location,
 )
 from repro.experiments.scheduler import (
-    SCHEDULER_NAMES,
     CancelCampaign,
     Scheduler,
     default_scheduler,
-    scheduler_by_name,
     worker_id,
 )
 from repro.experiments.aggregation import (
@@ -294,14 +291,14 @@ def run_campaign(
 
     Lookup order per run: ``memo`` (an in-memory dict shared across
     campaigns in one process — the sweep/figure cache) → the result
-    store → execute.  Pending runs go to the ``scheduler`` (an instance
-    or a name; default: :func:`~repro.experiments.scheduler.default_scheduler`,
-    serial unless ``workers`` and the pending runs both exceed one); each
-    finished record is written to the store as it arrives, so
-    interrupting the campaign loses at most the in-flight runs.
+    store → execute.  Pending runs go to the ``scheduler`` (default:
+    :func:`~repro.experiments.scheduler.default_scheduler`, serial unless
+    ``workers`` and the pending runs both exceed one); each finished
+    record is committed to the store as it arrives, so interrupting the
+    campaign loses at most the in-flight runs.
 
-    ``store`` is a :class:`~repro.experiments.store.ResultStore` or a
-    spec string (``json:DIR``, ``sqlite:PATH``, or a bare path).
+    ``store`` is a :class:`~repro.experiments.store.SqliteStore` or the
+    path of its SQLite file.
 
     ``shard=(i, k)`` distributes one campaign over ``k`` machines
     sharing a store: runs are partitioned deterministically by config
@@ -341,12 +338,7 @@ def run_campaign(
     t0 = time.perf_counter()
     configs = spec.configs()
     result_store = open_store(store) if store is not None else None
-    stream = StreamingAggregate(
-        spec,
-        stream_metrics
-        if stream_metrics is not None
-        else default_metrics(spec.backends()),
-    )
+    stream = StreamingAggregate(spec, stream_metrics)
 
     results: List[Optional[RunResult]] = [None] * len(configs)
     pending: List[Tuple[int, ScenarioConfig]] = []
@@ -400,24 +392,18 @@ def run_campaign(
     # own-shard runs first; stolen leftovers only once our share is in
     jobs = pending + stolen_jobs
     configs_by_index = dict(jobs)
-    engine = scheduler
-    if engine is None:
-        engine = default_scheduler(workers, len(jobs))
-    elif isinstance(engine, str):
-        engine = scheduler_by_name(engine, workers)
+    engine = scheduler or default_scheduler(workers, len(jobs))
     try:
         if jobs:
             engine.execute(_execute, jobs, _finish, store=result_store)
     except CancelCampaign:
         cancelled = True
     finally:
-        if result_store is not None:
-            # claims for stolen runs we never got to: hand them back now
-            # rather than letting the TTL expire them
-            for i, cfg in stolen_jobs:
-                if results[i] is None:
-                    result_store.release(config_key(cfg))
-            result_store.flush()
+        # claims for stolen runs we never got to: hand them back now
+        # rather than letting the TTL expire them
+        for i, cfg in stolen_jobs:
+            if results[i] is None:
+                result_store.release(config_key(cfg))
 
     return CampaignResult(
         spec=spec,
@@ -437,19 +423,20 @@ def collect_campaign(
     spec: CampaignSpec,
     store,
     memo: Optional[Dict[ScenarioConfig, RunResult]] = None,
+    stream_metrics: Optional[Sequence[str]] = None,
 ) -> CampaignResult:
     """Assemble a campaign from a store without executing anything.
 
     The read-only counterpart of :func:`run_campaign` (the ``results``
-    service verb): every stored run loads into its slot, missing runs
-    count as ``skipped``.  Aggregation and tables work over whatever is
-    present.
+    and ``status`` service verbs): every stored run loads into its slot,
+    missing runs count as ``skipped``.  Aggregation and tables work over
+    whatever is present.
     """
     t0 = time.perf_counter()
     result_store = open_store(store)
     configs = spec.configs()
     results: List[Optional[RunResult]] = [None] * len(configs)
-    stream = StreamingAggregate(spec, default_metrics(spec.backends()))
+    stream = StreamingAggregate(spec, stream_metrics)
     cache_hits = 0
     for i, cfg in enumerate(configs):
         record = result_store.load(cfg)
@@ -605,11 +592,21 @@ def _add_store_arg(target) -> None:
     target.add_argument(
         "--store",
         default=None,
-        metavar="SPEC",
-        help="result store: a directory (JSON record dir, the historical "
-        "cache layout), a *.sqlite/*.db path (SQLite columnar store), or "
-        "an explicit json:DIR / sqlite:PATH spec",
+        metavar="PATH",
+        help="result store: a SQLite file, created on first use (a legacy "
+        "JSON record dir must first go through the migrate subcommand)",
     )
+
+
+def _cli_store(spec: Optional[str], probe: bool = False):
+    """Open the ``--store`` file (or with ``probe``, only an existing
+    one); a refused spec becomes a clean CLI error."""
+    if not spec:
+        return None
+    try:
+        return probe_store(spec) if probe else open_store(spec)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 def _add_metrics_arg(target) -> None:
@@ -632,15 +629,6 @@ def build_parser() -> argparse.ArgumentParser:
     how = parser.add_argument_group("how to run")
     how.add_argument("--workers", type=int, default=1, help="worker processes")
     _add_store_arg(how)
-    how.add_argument(
-        "--scheduler",
-        default=None,
-        choices=SCHEDULER_NAMES,
-        help="execution engine: 'serial' or 'async' (asyncio job queue "
-        "with work stealing, heartbeats and graceful cancel).  Default: "
-        "serial when --workers or the pending runs number at most one, "
-        "else async",
-    )
     how.add_argument(
         "--shard",
         default=None,
@@ -856,7 +844,7 @@ def _main_status(argv: Sequence[str]) -> int:
         spec = spec_from_args(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    store = probe_store(_require_store(args))
+    store = _cli_store(_require_store(args), probe=True)
     if store is None:
         print(f"# campaign {spec.name}: 0/{spec.size()} runs (store absent)")
         return 0
@@ -889,7 +877,7 @@ def _main_results(argv: Sequence[str]) -> int:
         spec = spec_from_args(args)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    campaign = collect_campaign(spec, _require_store(args))
+    campaign = collect_campaign(spec, _cli_store(_require_store(args)))
     metrics = _metrics_from_args(args, spec)
     print(
         f"# campaign {spec.name}: {spec.size()} runs "
@@ -905,12 +893,12 @@ def _main_results(argv: Sequence[str]) -> int:
 def _main_migrate(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.campaign migrate",
-        description="Losslessly ingest a v1/v2 JSON cache dir into "
-        "another result store (typically SQLite).",
+        description="Losslessly ingest a legacy v1/v2 JSON record dir "
+        "into a SQLite result store.",
     )
     parser.add_argument("src", help="source JSON record dir (<hash>.json)")
     parser.add_argument(
-        "dest", help="destination store spec (e.g. campaign.sqlite)"
+        "dest", help="destination SQLite file (e.g. campaign.sqlite)"
     )
     parser.add_argument(
         "--quiet", action="store_true", help="suppress progress"
@@ -919,13 +907,13 @@ def _main_migrate(argv: Sequence[str]) -> int:
     if not os.path.isdir(args.src):
         raise SystemExit(f"source is not a directory: {args.src}")
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
-    with open_store(args.dest) as dest:
+    with _cli_store(args.dest) as dest:
         migrated, skipped = migrate_json_dir(
             args.src, dest, progress=progress
         )
     print(
         f"# migrated {migrated} records from {args.src} to "
-        f"{store_location(args.dest)} (skipped {skipped} non-records)"
+        f"{args.dest} (skipped {skipped} non-records)"
     )
     return 0
 
@@ -971,7 +959,7 @@ def _main_flat(argv: Sequence[str]) -> int:
         # shard/store status, then the campaign shape.  The store is only
         # probed when its location already exists (opening would create
         # it), so a dry run is always side-effect free.
-        store = probe_store(store_spec) if store_spec else None
+        store = _cli_store(store_spec, probe=True)
         from repro.experiments.scenario_models import (
             non_default_axes,
             plan_lines,
@@ -1027,18 +1015,12 @@ def _main_flat(argv: Sequence[str]) -> int:
         return 0
 
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
-    scheduler = (
-        scheduler_by_name(args.scheduler, args.workers)
-        if args.scheduler
-        else None
-    )
     campaign = run_campaign(
         spec,
         workers=args.workers,
-        store=store_spec,
+        store=_cli_store(store_spec),
         progress=progress,
         shard=shard,
-        scheduler=scheduler,
         steal=args.steal,
     )
     metrics = _metrics_from_args(args, spec)

@@ -127,13 +127,11 @@ class FigureDef:
         cache: Dict = None,
         workers: int = 1,
         store=None,
-        scheduler=None,
     ) -> SweepResult:
         return self.sweep(quick=quick, seeds=seeds).run(
             cache=cache,
             workers=workers,
             store=store,
-            scheduler=scheduler,
         )
 
     def check(self, result: SweepResult) -> Dict[str, bool]:

@@ -16,7 +16,7 @@ persistence, aggregation — stays in the layers around it.  Two engines:
   deliver, then re-raises.  Combined with per-record persistence this
   makes any campaign killable and resumable at run granularity.
 
-:func:`default_scheduler` is the one rule for callers that name no
+:func:`default_scheduler` is the one rule for callers that pass no
 engine: serial when at most one worker would be busy, else async.
 Async workers are separate processes, so the worker function and job
 payloads must be picklable top-level callables.
@@ -38,9 +38,7 @@ __all__ = [
     "Scheduler",
     "SerialScheduler",
     "AsyncScheduler",
-    "SCHEDULER_NAMES",
     "default_scheduler",
-    "scheduler_by_name",
 ]
 
 #: payload of one schedulable run: (slot index, worker-function argument)
@@ -82,7 +80,7 @@ class Scheduler(abc.ABC):
 
         ``on_result(index, result)`` fires in completion order, in the
         caller's process/thread.  ``store`` (a
-        :class:`~repro.experiments.store.ResultStore`) is the heartbeat
+        :class:`~repro.experiments.store.SqliteStore`) is the heartbeat
         channel for engines that publish liveness; others ignore it.
         A :class:`CancelCampaign` from ``on_result`` stops dispatching
         and re-raises after the engine has wound down.
@@ -178,23 +176,9 @@ class AsyncScheduler(Scheduler):
                 continue
 
 
-SCHEDULER_NAMES = ("serial", "async")
-
-
 def default_scheduler(workers: int, n_jobs: int) -> Scheduler:
     """The engine used when the caller names none: in-process when at
     most one worker would be busy, else the async queue."""
     if min(workers, n_jobs) <= 1:
         return SerialScheduler()
     return AsyncScheduler(workers=workers)
-
-
-def scheduler_by_name(name: str, workers: int = 1) -> Scheduler:
-    """Resolve a ``--scheduler`` value into an engine instance."""
-    if name == "serial":
-        return SerialScheduler()
-    if name == "async":
-        return AsyncScheduler(workers=workers)
-    raise ValueError(
-        f"unknown scheduler {name!r}; choose from {SCHEDULER_NAMES}"
-    )

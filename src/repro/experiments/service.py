@@ -9,8 +9,7 @@ reinventing store/scheduler plumbing::
 
     from repro.experiments.service import CampaignService
 
-    svc = CampaignService.open("campaign.sqlite", scheduler="async",
-                               workers=4)
+    svc = CampaignService("campaign.sqlite", workers=4)
     svc.submit(spec)                  # executes only what's missing
     print(svc.status(spec).format_table())   # streaming per-cell CI
     table = svc.results(spec)         # read-only assembly
@@ -27,12 +26,8 @@ from repro.experiments.campaign import (
     collect_campaign,
     run_campaign,
 )
-from repro.experiments.scheduler import Scheduler, scheduler_by_name
-from repro.experiments.store import (
-    ResultStore,
-    migrate_json_dir,
-    open_store,
-)
+from repro.experiments.scheduler import Scheduler
+from repro.experiments.store import SqliteStore, migrate_json_dir, open_store
 
 __all__ = ["CampaignService"]
 
@@ -48,17 +43,9 @@ class CampaignService:
     def __init__(
         self, store, scheduler: Optional[Scheduler] = None, workers: int = 1
     ) -> None:
-        self.store: ResultStore = open_store(store)
+        self.store: SqliteStore = open_store(store)
         self.scheduler = scheduler
         self.workers = workers
-
-    @classmethod
-    def open(
-        cls, store, scheduler: Optional[str] = None, workers: int = 1
-    ) -> "CampaignService":
-        """Build a service from a store spec and a scheduler name."""
-        named = scheduler_by_name(scheduler, workers) if scheduler else None
-        return cls(store, named, workers)
 
     # ------------------------------------------------------------------
     def submit(
@@ -98,7 +85,7 @@ class CampaignService:
         return collect_campaign(spec, self.store, memo=memo)
 
     def migrate_from(self, json_root: str) -> Tuple[int, int]:
-        """Ingest a legacy JSON cache dir; returns (migrated, skipped)."""
+        """Ingest a legacy JSON record dir; returns (migrated, skipped)."""
         return migrate_json_dir(json_root, self.store)
 
     # ------------------------------------------------------------------

@@ -1,32 +1,30 @@
-"""Result stores: pluggable persistence for campaign run records.
+"""The result store: persistence for campaign run records.
 
 This module is the **store layer** of the campaign service (see
 ``docs/campaigns.md``).  It owns two things the rest of the experiment
 stack builds on:
 
 * **Run identity** — :func:`config_key` (the stable content hash of a
-  :class:`~repro.experiments.config.ScenarioConfig`), the cache schema
+  :class:`~repro.experiments.config.ScenarioConfig`), the record schema
   constants, and :func:`shard_of` (the deterministic config-hash shard
-  partition).  These are byte-for-byte the pre-refactor definitions: a
-  cache dir written by any earlier version keeps hitting, and ``--shard
+  partition).  These are byte-for-byte the historical definitions: a
+  record written by any earlier version keeps hitting, and ``--shard
   I/K`` assigns every run to the same machine it always did.
-* **The** :class:`ResultStore` **protocol** and its two backends —
-  :class:`JsonDirStore` (one ``<hash>.json`` file per run, the historical
-  layout) and :class:`SqliteStore` (one row per run in an append-only
-  SQLite table indexed by config hash + schema version, WAL journaling,
-  batched writes).  :func:`migrate_json_dir` ingests a v1/v2 JSON cache
-  dir into any other store losslessly.
+* **The store** — :class:`SqliteStore`, one row per run in an
+  append-only SQLite table indexed by config hash + schema version, with
+  WAL journaling.  A store spec is the path of its file.  Legacy
+  ``<hash>.json`` record dirs are read-only input to
+  :func:`migrate_json_dir`, which ingests v1/v2 records losslessly.
 
-Both stores expose the same lookup semantics: unreadable, stale-schema,
-foreign-backend or hand-edited records are *misses*, never errors, so a
-corrupt store can never fail a campaign.  Stores also carry two small
-side channels for the scheduler layer: worker **heartbeats** and run
-**claims** (cross-shard work stealing).
+Lookups are forgiving: unreadable, stale-schema, foreign-backend or
+hand-edited records are *misses*, never errors, so a corrupt store can
+never fail a campaign.  The store also carries two small side channels
+for the scheduler layer: worker **heartbeats** and run **claims**
+(cross-shard work stealing).
 """
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 import hashlib
 import json
@@ -37,13 +35,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.experiments.config import ScenarioConfig
 
-#: record-layout version written to new cache files.  v2 added the
+#: record-layout version written to new records.  v2 added the
 #: optional ``backend`` key (absent = "des"); loading still accepts every
 #: version in ``COMPATIBLE_SCHEMAS`` and tolerates records that lack
 #: later-added summary/diagnostic fields, so old caches keep hitting.
 CACHE_SCHEMA = 2
 
-#: record versions the loader accepts; files outside this set are
+#: record versions the loader accepts; records outside this set are
 #: treated as cache misses, never errors.
 COMPATIBLE_SCHEMAS = (1, 2)
 
@@ -56,10 +54,11 @@ HASH_SCHEMA = 1
 #: worker died) and may be re-claimed by another scheduler
 DEFAULT_CLAIM_TTL_S = 600.0
 
-#: leftover ``*.tmp.*`` files older than this are swept on store open (a
-#: killed writer's debris; the atomic-replace discipline means they were
-#: never visible as records)
-STALE_TMP_S = 3600.0
+#: how long a SQLite writer waits for another process's lock
+TIMEOUT_S = 30.0
+
+#: records per transaction when :func:`migrate_json_dir` ingests a dir
+MIGRATE_BATCH = 256
 
 
 # ----------------------------------------------------------------------
@@ -235,8 +234,8 @@ def checked_record(record: dict, config: ScenarioConfig) -> Optional[dict]:
 
     Returns the record (with its config section normalized) when it is a
     compatible-era, same-backend, field-for-field match; ``None``
-    otherwise.  This is the single identity gate both store backends
-    apply on load, so a hand-moved file or a hash collision can never
+    otherwise.  This is the identity gate :meth:`SqliteStore.load`
+    applies, so a hand-moved record or a hash collision can never
     impersonate another run.
     """
     if record.get("schema") not in COMPATIBLE_SCHEMAS:
@@ -257,288 +256,47 @@ def checked_record(record: dict, config: ScenarioConfig) -> Optional[dict]:
     try:
         rebuilt = ScenarioConfig(**stored)
     except (TypeError, ValueError):
-        return None  # unconstructible record (hand-edited file)
+        return None  # unconstructible record (hand-edited)
     if rebuilt != config:
-        return None  # hash collision or hand-edited file
+        return None  # hash collision or hand-edited record
     record["config"] = dataclasses.asdict(rebuilt)
     return record
 
 
 # ----------------------------------------------------------------------
-# The store protocol
+# The store
 # ----------------------------------------------------------------------
-class ResultStore(abc.ABC):
-    """One way of persisting campaign run records.
-
-    The primitive write is :meth:`put` — append one record under an
-    explicit key (idempotent: a concurrent duplicate write of the same
-    run resolves to one record, which is what makes racing shards safe).
-    :meth:`store`/:meth:`load` are the config-addressed convenience
-    layer every campaign consumer uses.
-    """
-
-    name: str = "?"
-
-    # -- records -------------------------------------------------------
-    @abc.abstractmethod
-    def put(self, key: str, record: dict) -> str:
-        """Persist ``record`` under ``key``; returns its location."""
-
-    @abc.abstractmethod
-    def get(self, key: str) -> Optional[dict]:
-        """The raw record stored under ``key``, or None (no validation)."""
-
-    def store(self, config: ScenarioConfig, record: dict) -> str:
-        """Persist a finished run's record, keyed by its config hash."""
-        return self.put(config_key(config), record)
-
-    def load(self, config: ScenarioConfig) -> Optional[dict]:
-        """The cached record for ``config``, or None.
-
-        Unreadable/stale/foreign records are misses: the run is simply
-        redone (and the record rewritten), so a corrupt store can never
-        fail a campaign.
-        """
-        record = self.get(config_key(config))
-        if record is None:
-            return None
-        return checked_record(record, config)
-
-    def put_many(self, items: Iterable[Tuple[str, dict]]) -> int:
-        """Batched append; returns the number of records written."""
-        count = 0
-        for key, record in items:
-            self.put(key, record)
-            count += 1
-        return count
-
-    def keys(self) -> List[str]:
-        """Every record key present (unvalidated)."""
-        raise NotImplementedError
-
-    def run_count(self) -> int:
-        return len(self.keys())
-
-    def flush(self) -> None:
-        """Make every buffered write durable."""
-
-    def close(self) -> None:
-        self.flush()
-
-    def __enter__(self) -> "ResultStore":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-    # -- scheduler side channels --------------------------------------
-    def heartbeat(self, worker: str, state: str = "running") -> None:
-        """Record that ``worker`` is alive right now (best effort)."""
-
-    def heartbeats(self) -> Dict[str, dict]:
-        """worker -> {"seen_s": epoch, "state": str} of known workers."""
-        return {}
-
-    def claim(
-        self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> bool:
-        """Try to claim run ``key`` for ``worker`` (work stealing).
-
-        Returns True when the claim is ours — nobody holds it, or the
-        existing claim is staler than ``ttl_s`` (its worker died).
-        Claims only avoid duplicated *work*; correctness never depends
-        on them because :meth:`put` is idempotent per key.
-        """
-        return True
-
-    def release(self, key: str) -> None:
-        """Drop any claim on ``key`` (called once its record is stored)."""
-
-
-# ----------------------------------------------------------------------
-# JSON directory store (the historical cache layout)
-# ----------------------------------------------------------------------
-class JsonDirStore(ResultStore):
-    """Directory of ``<config_key>.json`` run records.
-
-    Byte-for-byte the historical JSON cache layout: every record a
-    pre-refactor campaign wrote keeps hitting, and every record this
-    store writes is loadable by pre-refactor code.  Writes are
-    crash-safe: the record lands in a tempfile that is fsynced and then
-    atomically renamed into place, so a killed campaign can leave
-    debris ``*.tmp.*`` files (swept on the next open) but never a
-    truncated record that would silently demote to a cache miss.
-    """
-
-    name = "json"
-
-    def __init__(self, root: str) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
-        self._sweep_stale_tmps()
-
-    def _sweep_stale_tmps(self) -> None:
-        now = time.time()
-        try:
-            entries = os.listdir(self.root)
-        except OSError:
-            return
-        for name in entries:
-            if ".tmp." not in name:
-                continue
-            path = os.path.join(self.root, name)
-            try:
-                if now - os.path.getmtime(path) > STALE_TMP_S:
-                    os.unlink(path)
-            except OSError:
-                pass  # another process swept it first
-
-    # -- records -------------------------------------------------------
-    def key_path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
-    def path(self, config: ScenarioConfig) -> str:
-        return self.key_path(config_key(config))
-
-    def put(self, key: str, record: dict) -> str:
-        path = self.key_path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.flush()
-            os.fsync(fh.fileno())  # durable before it becomes visible
-        os.replace(tmp, path)
-        self.release(key)
-        return path
-
-    def get(self, key: str) -> Optional[dict]:
-        try:
-            with open(self.key_path(key), "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, ValueError):
-            return None
-
-    def keys(self) -> List[str]:
-        return [
-            name[: -len(".json")]
-            for name in os.listdir(self.root)
-            if name.endswith(".json")
-        ]
-
-    # -- scheduler side channels --------------------------------------
-    def _side_dir(self, kind: str) -> str:
-        path = os.path.join(self.root, kind)
-        os.makedirs(path, exist_ok=True)
-        return path
-
-    def heartbeat(self, worker: str, state: str = "running") -> None:
-        path = os.path.join(self._side_dir(".workers"), f"{worker}.json")
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"seen_s": time.time(), "state": state}, fh)
-        os.replace(tmp, path)
-
-    def heartbeats(self) -> Dict[str, dict]:
-        out: Dict[str, dict] = {}
-        workers = os.path.join(self.root, ".workers")
-        if not os.path.isdir(workers):
-            return out
-        for name in os.listdir(workers):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(workers, name), encoding="utf-8") as fh:
-                    out[name[: -len(".json")]] = json.load(fh)
-            except (OSError, ValueError):
-                continue
-        return out
-
-    def _claim_path(self, key: str) -> str:
-        return os.path.join(self._side_dir(".claims"), f"{key}.claim")
-
-    def claim(
-        self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> bool:
-        path = self._claim_path(key)
-        payload = json.dumps({"worker": worker, "since_s": time.time()})
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            try:
-                stale = time.time() - os.path.getmtime(path) > ttl_s
-            except OSError:
-                return False  # claim vanished mid-check: somebody owns it
-            if not stale:
-                return False
-            # abandoned claim: take it over (atomic replace; the loser
-            # of a takeover race merely re-runs an idempotent put)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-            return True
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        return True
-
-    def release(self, key: str) -> None:
-        claims = os.path.join(self.root, ".claims")
-        if not os.path.isdir(claims):
-            return
-        try:
-            os.unlink(os.path.join(claims, f"{key}.claim"))
-        except OSError:
-            pass
-
-
-# ----------------------------------------------------------------------
-# SQLite columnar store
-# ----------------------------------------------------------------------
-class SqliteStore(ResultStore):
+class SqliteStore:
     """Append-only SQLite store: one row per run record.
-
-    Built for campaigns with millions of records, where a
-    file-per-run directory stops scaling (directory scans, inode
-    pressure, no indexed lookup):
 
     * rows live in a single ``runs`` table with ``(key, schema)`` as the
       primary key — point lookup by config hash is an index probe;
     * hot columns (backend, protocol, seed, elapsed) are split out for
       SQL-side slicing while the full record round-trips losslessly in a
-      JSON column, so every consumer of the JSON layout sees identical
-      contents;
+      JSON column;
     * WAL journaling + ``synchronous=NORMAL``: concurrent readers never
-      block the writer, and a mid-write kill can never leave a torn row
-      (the satellite discipline of the JSON store, provided by the
-      engine);
-    * writes are batched: ``batch_size`` records per transaction (the
-      default of 1 keeps the campaign's lose-at-most-in-flight resume
-      guarantee; migration and bulk ingest pass something larger or use
-      :meth:`put_many`, one transaction for the whole batch).
+      block the writer, and a mid-write kill can never leave a torn row;
+    * :meth:`put` commits its record at once, so an interrupted campaign
+      loses at most its in-flight runs; bulk ingest goes through
+      :meth:`put_many`, one transaction for the whole batch.
 
-    Records are schema-versioned exactly like the JSON layout, and
-    ``INSERT OR REPLACE`` on the key makes concurrent duplicate writes
-    (racing shards, stolen runs) collapse to one row.
+    Records are schema-versioned, and ``INSERT OR REPLACE`` on the key
+    makes concurrent duplicate writes (racing shards, stolen runs)
+    collapse to one row.  Two small side tables serve the scheduler
+    layer: worker **heartbeats** and run **claims** (cross-shard work
+    stealing).
     """
 
-    name = "sqlite"
-
-    def __init__(
-        self,
-        path: str,
-        batch_size: int = 1,
-        timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.batch_size = max(1, int(batch_size))
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        self._conn = sqlite3.connect(path, timeout=timeout_s)
+        self._conn = sqlite3.connect(path, timeout=TIMEOUT_S)
         # Two processes opening a fresh file race to switch it to WAL;
         # the loser gets "database is locked" at once (the busy timeout
         # does not cover this lock), so retry within the same timeout.
-        deadline = time.monotonic() + timeout_s
+        deadline = time.monotonic() + TIMEOUT_S
         while True:
             try:
                 self._conn.execute("PRAGMA journal_mode=WAL")
@@ -580,7 +338,6 @@ class SqliteStore(ResultStore):
                        since_s REAL NOT NULL
                    )"""
             )
-        self._pending: List[Tuple[str, dict]] = []
 
     # -- records -------------------------------------------------------
     @staticmethod
@@ -598,22 +355,20 @@ class SqliteStore(ResultStore):
         )
 
     def put(self, key: str, record: dict) -> str:
-        self._pending.append((key, record))
-        if len(self._pending) >= self.batch_size:
-            self.flush()
+        """Persist ``record`` under ``key``; returns its location.
+
+        Idempotent per key: a concurrent duplicate write of the same run
+        resolves to one record, which is what makes racing shards safe.
+        """
+        self.put_many([(key, record)])
         return f"{self.path}#{key}"
 
     def put_many(self, items: Iterable[Tuple[str, dict]]) -> int:
-        self.flush()
+        """Append a batch in one transaction; returns the number written."""
         rows = [self._row(key, record) for key, record in items]
-        self._write_rows(rows)
-        return len(rows)
-
-    def _write_rows(self, rows: List[Tuple]) -> None:
         if not rows:
-            return
-        keys = [r[0] for r in rows]
-        with self._conn:  # one transaction per batch
+            return 0
+        with self._conn:
             self._conn.executemany(
                 "INSERT OR REPLACE INTO runs "
                 "(key, schema, backend, protocol, seed, elapsed_s, record, "
@@ -621,15 +376,16 @@ class SqliteStore(ResultStore):
                 rows,
             )
             self._conn.executemany(
-                "DELETE FROM claims WHERE key = ?", [(k,) for k in keys]
+                "DELETE FROM claims WHERE key = ?", [(r[0],) for r in rows]
             )
+        return len(rows)
 
-    def flush(self) -> None:
-        pending, self._pending = self._pending, []
-        self._write_rows([self._row(k, r) for k, r in pending])
+    def store(self, config: ScenarioConfig, record: dict) -> str:
+        """Persist a finished run's record, keyed by its config hash."""
+        return self.put(config_key(config), record)
 
     def get(self, key: str) -> Optional[dict]:
-        self.flush()
+        """The raw record stored under ``key``, or None (no validation)."""
         # newest *loadable* layout wins when several schema eras coexist:
         # a row written by some future schema must not shadow a record
         # this version can still read
@@ -646,8 +402,20 @@ class SqliteStore(ResultStore):
                 continue
         return None
 
+    def load(self, config: ScenarioConfig) -> Optional[dict]:
+        """The stored record for ``config``, or None.
+
+        Unreadable/stale/foreign records are misses: the run is simply
+        redone (and the record rewritten), so a corrupt store can never
+        fail a campaign.
+        """
+        record = self.get(config_key(config))
+        if record is None:
+            return None
+        return checked_record(record, config)
+
     def keys(self) -> List[str]:
-        self.flush()
+        """Every record key present (unvalidated)."""
         return [
             key
             for (key,) in self._conn.execute(
@@ -656,18 +424,26 @@ class SqliteStore(ResultStore):
         ]
 
     def run_count(self) -> int:
-        self.flush()
         (count,) = self._conn.execute(
             "SELECT COUNT(DISTINCT key) FROM runs"
         ).fetchone()
         return int(count)
 
+    def flush(self) -> None:
+        """Make every write durable: a no-op, since each write commits."""
+
     def close(self) -> None:
-        self.flush()
         self._conn.close()
+
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # -- scheduler side channels --------------------------------------
     def heartbeat(self, worker: str, state: str = "running") -> None:
+        """Record that ``worker`` is alive right now."""
         with self._conn:
             self._conn.execute(
                 "INSERT OR REPLACE INTO workers (worker, seen_s, state) "
@@ -676,6 +452,7 @@ class SqliteStore(ResultStore):
             )
 
     def heartbeats(self) -> Dict[str, dict]:
+        """worker -> {"seen_s": epoch, "state": str} of known workers."""
         return {
             worker: {"seen_s": seen, "state": state}
             for worker, seen, state in self._conn.execute(
@@ -686,6 +463,13 @@ class SqliteStore(ResultStore):
     def claim(
         self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
     ) -> bool:
+        """Try to claim run ``key`` for ``worker`` (work stealing).
+
+        Returns True when the claim is ours — nobody holds it, or the
+        existing claim is staler than ``ttl_s`` (its worker died).
+        Claims only avoid duplicated *work*; correctness never depends
+        on them because :meth:`put` is idempotent per key.
+        """
         now = time.time()
         try:
             with self._conn:  # IMMEDIATE-equivalent: one writer at a time
@@ -704,59 +488,64 @@ class SqliteStore(ResultStore):
             return False  # contended lock: treat as somebody else's claim
 
     def release(self, key: str) -> None:
+        """Drop any claim on ``key`` (called once its record is stored)."""
         with self._conn:
             self._conn.execute("DELETE FROM claims WHERE key = ?", (key,))
 
 
 # ----------------------------------------------------------------------
-# Store resolution
+# Store specs
 # ----------------------------------------------------------------------
-#: suffixes that make a bare path mean "SQLite file", not "JSON dir"
-_SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
+StoreSpec = Union[str, os.PathLike, SqliteStore]
 
 
-def open_store(spec: Union[str, ResultStore]) -> ResultStore:
+def _store_path(spec: Union[str, os.PathLike]) -> str:
+    """The SQLite file a store spec names, refusing retired spec forms.
+
+    A spec is a path to a SQLite file.  A path that is an existing
+    directory (a legacy JSON record dir) or that carries a ``json:`` /
+    ``sqlite:`` prefix raises ``ValueError`` saying what to do instead.
+    """
+    path = os.fspath(spec)
+    for prefix in ("json:", "sqlite:"):
+        if path.startswith(prefix):
+            raise ValueError(
+                f"store spec {path!r}: the {prefix!r} prefix is gone; a "
+                f"store is a SQLite file path, so drop the prefix (a JSON "
+                f"record dir must first be `migrate`d into a .sqlite file)"
+            )
+    if os.path.isdir(path):
+        dest = os.path.normpath(path) + ".sqlite"
+        raise ValueError(
+            f"store spec {path!r} is a directory: JSON record dirs are "
+            f"read-only input now — run `python -m "
+            f"repro.experiments.campaign migrate {path} {dest}` and pass "
+            f"the .sqlite file"
+        )
+    return path
+
+
+def open_store(spec: StoreSpec) -> SqliteStore:
     """Resolve a store spec into a live store.
 
-    ``spec`` may already be a :class:`ResultStore` (returned as is), or a
-    string: ``json:DIR`` / ``sqlite:PATH`` explicit forms, a path ending
-    in ``.sqlite``/``.sqlite3``/``.db`` (SQLite), or any other path (a
-    JSON record dir — the historical cache layout).
+    ``spec`` is a :class:`SqliteStore` (returned as is) or a path to a
+    SQLite file, created on first use (see :func:`_store_path`).
     """
-    if isinstance(spec, ResultStore):
-        return spec
-    if spec.startswith("json:"):
-        return JsonDirStore(spec[len("json:"):])
-    if spec.startswith("sqlite:"):
-        return SqliteStore(spec[len("sqlite:"):])
-    if spec.endswith(_SQLITE_SUFFIXES):
-        return SqliteStore(spec)
-    return JsonDirStore(spec)
-
-
-def store_location(spec: Union[str, ResultStore]) -> str:
-    """The filesystem path behind a store spec (without opening it)."""
-    if isinstance(spec, JsonDirStore):
-        return spec.root
     if isinstance(spec, SqliteStore):
-        return spec.path
-    if isinstance(spec, str):
-        for prefix in ("json:", "sqlite:"):
-            if spec.startswith(prefix):
-                return spec[len(prefix):]
         return spec
-    raise TypeError(f"not a store spec: {spec!r}")
+    return SqliteStore(_store_path(spec))
 
 
-def probe_store(spec: Union[str, ResultStore]) -> Optional[ResultStore]:
-    """Open a store only if its backing location already exists.
+def probe_store(spec: StoreSpec) -> Optional[SqliteStore]:
+    """Open a store only if its file already exists.
 
     Dry runs probe the warm-cache state through this, so planning never
-    creates directories or database files as a side effect.
+    creates database files as a side effect.
     """
-    if isinstance(spec, ResultStore):
+    if isinstance(spec, SqliteStore):
         return spec
-    return open_store(spec) if os.path.exists(store_location(spec)) else None
+    path = _store_path(spec)
+    return SqliteStore(path) if os.path.exists(path) else None
 
 
 # ----------------------------------------------------------------------
@@ -764,11 +553,10 @@ def probe_store(spec: Union[str, ResultStore]) -> Optional[ResultStore]:
 # ----------------------------------------------------------------------
 def migrate_json_dir(
     src_root: str,
-    dest: Union[str, ResultStore],
-    batch_size: int = 256,
-    progress: Optional[Callable[[int, int], None]] = None,
+    store: SqliteStore,
+    progress: Optional[Callable[[str], None]] = None,
 ) -> Tuple[int, int]:
-    """Ingest a v1/v2 ``<hash>.json`` cache dir into another store.
+    """Ingest a v1/v2 ``<hash>.json`` record dir into ``store``.
 
     Records are copied **losslessly**: the destination receives every
     field of every parseable record under its original key (the filename
@@ -776,23 +564,13 @@ def migrate_json_dir(
     its own schema version.  Files that do not parse as records are
     skipped and counted, never fatal.  Returns ``(migrated, skipped)``.
     """
-    store = open_store(dest)
-    if isinstance(store, SqliteStore):
-        store.batch_size = max(store.batch_size, batch_size)
     migrated = skipped = 0
     batch: List[Tuple[str, dict]] = []
-
-    def _drain() -> None:
-        nonlocal migrated
-        migrated += store.put_many(batch)
-        batch.clear()
-
     for name in sorted(os.listdir(src_root)):
         if not name.endswith(".json"):
             continue
-        path = os.path.join(src_root, name)
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(os.path.join(src_root, name), encoding="utf-8") as fh:
                 record = json.load(fh)
         except (OSError, ValueError):
             skipped += 1
@@ -801,10 +579,10 @@ def migrate_json_dir(
             skipped += 1
             continue
         batch.append((name[: -len(".json")], record))
-        if len(batch) >= batch_size:
-            _drain()
+        if len(batch) >= MIGRATE_BATCH:
+            migrated += store.put_many(batch)
+            batch.clear()
             if progress:
                 progress(f"migrated {migrated} records...")
-    _drain()
-    store.flush()
+    migrated += store.put_many(batch)
     return migrated, skipped

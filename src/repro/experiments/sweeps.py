@@ -86,17 +86,15 @@ class Sweep:
         cache: Optional[Dict] = None,
         workers: int = 1,
         store=None,
-        scheduler=None,
     ) -> SweepResult:
         """Run the grid through the campaign engine.
 
         ``cache`` maps ScenarioConfig -> RunResult and is shared across
         sweeps: figures that differ only in the metric they extract
         (e.g. Figures 7/8/9) reuse the same simulations.  ``workers``
-        runs the grid in parallel (or on any explicit ``scheduler``);
-        ``store`` — a result-store spec or instance — additionally
-        persists every run so later invocations (or other campaigns
-        sharing cells) skip it.
+        runs the grid in parallel; ``store`` — a result-store path or
+        instance — additionally persists every run so later invocations
+        (or other campaigns sharing cells) skip it.
         """
         # Imported here: campaign imports this module's types for reuse.
         from repro.experiments.campaign import CampaignSpec, run_campaign
@@ -112,7 +110,6 @@ class Sweep:
             spec,
             workers=workers,
             store=store,
-            scheduler=scheduler,
             memo=cache,
             progress=progress,
         )

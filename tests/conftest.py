@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -59,15 +61,31 @@ def test_backend(request) -> str:
     return request.param
 
 
-@pytest.fixture(params=["json", "sqlite"])
+@pytest.fixture(params=["sqlite"])
 def test_store(request, tmp_path) -> str:
-    """A fresh result-store spec for store-generic tests: the campaign /
-    backend / scenario-model tests persist through the JSON record dir
-    and through the SQLite columnar store.  Both resolve through
-    :func:`repro.experiments.store.open_store`."""
-    if request.param == "sqlite":
-        return f"sqlite:{tmp_path / 'results.sqlite'}"
-    return str(tmp_path / "result-cache")
+    """A fresh result-store path for store-generic tests (the campaign,
+    service, backend and scenario-model tests persist through it).  The
+    one parameter keeps the store in every such test's ID."""
+    return str(tmp_path / "results.sqlite")
+
+
+@pytest.fixture
+def legacy_json_dir(tmp_path):
+    """Writer of legacy ``<config_key>.json`` record dirs, the read-only
+    input of ``migrate``: ``write(configs)`` executes each config into
+    ``tmp_path/legacy`` and returns that path."""
+    from repro.experiments.campaign import _execute
+    from repro.experiments.store import config_key
+
+    def write(configs) -> str:
+        root = tmp_path / "legacy"
+        root.mkdir(exist_ok=True)
+        for cfg in configs:
+            with open(root / f"{config_key(cfg)}.json", "w") as fh:
+                json.dump(_execute(cfg), fh, sort_keys=True)
+        return str(root)
+
+    return write
 
 
 @pytest.fixture(params=["waypoint", "gauss-markov"])

@@ -33,7 +33,7 @@ from repro.experiments.backends import (
 from repro.experiments.campaign import CampaignSpec, main, run_campaign
 from repro.experiments.store import (
     CACHE_SCHEMA,
-    JsonDirStore,
+    SqliteStore,
     config_key,
     record_from_result,
     result_from_record,
@@ -229,14 +229,13 @@ class TestRecordCompat:
     """Satellite: schema bump keeps v1 records loading."""
 
     def test_v1_fixture_roundtrip(self, tmp_path):
-        """The old-format JSON fixture loads through the cache and
+        """The old-format JSON fixture loads through the store and
         rebuilds a RunResult; later-added fields default."""
         record = json.loads(V1_RECORD_JSON)
         cfg = ScenarioConfig(**record["config"])
         assert cfg.daemon == "distributed" and cfg.backend == "des"
-        cache = JsonDirStore(str(tmp_path))
-        with open(cache.path(cfg), "w", encoding="utf-8") as fh:
-            fh.write(V1_RECORD_JSON)
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
+        cache.put(config_key(cfg), json.loads(V1_RECORD_JSON))
         loaded = cache.load(cfg)
         assert loaded is not None, "v1 record must hit, not miss"
         result = result_from_record(loaded)
@@ -272,12 +271,11 @@ class TestRecordCompat:
         des_cfg = des_base(protocol="ss-spst-e")
         rounds_cfg = des_cfg.replace(backend="rounds")
         assert config_key(des_cfg) != config_key(rounds_cfg)
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         record = backend_by_name("rounds").record_from(
             backend_by_name("rounds").run(rounds_cfg)
         )
-        with open(cache.path(des_cfg), "w", encoding="utf-8") as fh:
-            json.dump(record, fh)
+        cache.put(config_key(des_cfg), record)
         assert cache.load(des_cfg) is None
 
     def test_des_hash_unchanged_by_backend_field(self):
@@ -383,7 +381,7 @@ class TestCliBackend:
             "--grid", "daemon=central,adversarial-max-cost",
             "--seeds", "1,2",
             "--set", "n_nodes=16", "--set", "group_size=4",
-            "--store", f"json:{tmp_path}", "--quiet",
+            "--store", str(tmp_path / "runs.sqlite"), "--quiet",
         ]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -402,7 +400,7 @@ class TestCliBackend:
             "--grid", "daemon=central,synchronous",
             "--seeds", "1,2",
             "--set", "n_nodes=16", "--set", "group_size=4",
-            "--store", f"json:{tmp_path}", "--quiet",
+            "--store", str(tmp_path / "runs.sqlite"), "--quiet",
         ]
         # warm one shard's worth of cache, then plan with shard + cache
         assert main(args + ["--shard", "0/2"]) == 0
@@ -449,11 +447,11 @@ class TestCliBackend:
         assert cell["rounds"]["half_width"] is None  # one seed -> ±inf
 
     def test_dry_run_does_not_create_store(self, tmp_path, capsys):
-        absent = tmp_path / "never-created"
+        absent = tmp_path / "never-created.sqlite"
         assert main(
             ["--backend", "rounds", "--protocols", "ss-spst", "--seeds", "1",
              "--set", "n_nodes=16", "--set", "group_size=4",
-             "--store", f"json:{absent}", "--dry-run"]
+             "--store", str(absent), "--dry-run"]
         ) == 0
         out = capsys.readouterr().out
         assert not absent.exists()
@@ -487,7 +485,7 @@ class TestBackendSmoke:
             args = ["--protocols", "flooding,ss-spst", "--set", "sim_time=12"]
         args += [
             "--seeds", "1,2", "--set", "n_nodes=16", "--set", "group_size=4",
-            "--store", f"json:{tmp_path}", "--workers", "2", "--quiet",
+            "--store", str(tmp_path / "runs.sqlite"), "--workers", "2", "--quiet",
         ]
         expected = 8 if test_backend == "rounds" else 4
         assert main(args) == 0

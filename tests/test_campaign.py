@@ -18,7 +18,7 @@ from repro.experiments.store import (
     CACHE_SCHEMA,
     COMPATIBLE_SCHEMAS,
     HASH_SCHEMA,
-    JsonDirStore,
+    SqliteStore,
     config_key,
     record_from_result,
     result_from_record,
@@ -95,7 +95,7 @@ class TestConfigKey:
         """A record written before the daemon field existed (no 'daemon'
         key in its config dict) must hit for a default-daemon config."""
         cfg = fast_base(protocol="flooding")
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         record = record_from_result(run_scenario(cfg))
         del record["config"]["daemon"]  # simulate an old-era record
         cache.store(cfg, record)
@@ -175,13 +175,16 @@ class TestRunResultAttrPassthrough:
         assert clone.summary == result.summary
 
 
-class TestJsonDirStore:
+class TestRecordStore:
+    """Record compatibility through the store: a round trip hits, and
+    unknown, corrupt, stale-schema and hand-moved records miss."""
+
     def test_store_load_roundtrip(self, tmp_path):
         cfg = fast_base(protocol="flooding")
         result = run_scenario(cfg)
-        cache = JsonDirStore(str(tmp_path))
-        path = cache.store(cfg, record_from_result(result, elapsed_s=0.5))
-        assert os.path.exists(path)
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
+        location = cache.store(cfg, record_from_result(result, elapsed_s=0.5))
+        assert location.endswith(f"#{config_key(cfg)}")
         record = cache.load(cfg)
         rebuilt = result_from_record(record)
         assert rebuilt.summary == result.summary
@@ -189,45 +192,50 @@ class TestJsonDirStore:
         assert rebuilt.frames_sent == result.frames_sent
 
     def test_miss_on_unknown_config(self, tmp_path):
-        assert JsonDirStore(str(tmp_path)).load(fast_base(seed=42)) is None
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
+        assert cache.load(fast_base(seed=42)) is None
 
-    def test_miss_on_corrupt_file(self, tmp_path):
+    def test_miss_on_corrupt_record(self, tmp_path):
         cfg = fast_base()
-        cache = JsonDirStore(str(tmp_path))
-        with open(cache.path(cfg), "w") as fh:
-            fh.write("{not json")
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
+        with cache._conn:  # an unparseable record column
+            cache._conn.execute(
+                "INSERT INTO runs (key, schema, backend, record, created_s) "
+                "VALUES (?, ?, 'des', ?, 0)",
+                (config_key(cfg), CACHE_SCHEMA, "{not json"),
+            )
         assert cache.load(cfg) is None
 
     def test_miss_on_schema_bump(self, tmp_path):
         cfg = fast_base(protocol="flooding")
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         record = record_from_result(run_scenario(cfg))
         record["schema"] = CACHE_SCHEMA + 1
         cache.store(cfg, record)
         assert cache.load(cfg) is None
 
     def test_miss_on_config_mismatch(self, tmp_path):
-        """A hand-moved file must not impersonate another config."""
+        """A hand-moved record must not impersonate another config."""
         cfg = fast_base(protocol="flooding")
         other = cfg.replace(seed=1234)
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         record = record_from_result(run_scenario(cfg))
-        with open(cache.path(other), "w") as fh:
-            json.dump(record, fh)
+        cache.put(config_key(other), record)
         assert cache.load(other) is None
 
 
 class TestRunCampaign:
     def test_pool_executes_and_caches(self, tmp_path):
         spec = fast_spec(seeds=(1, 2))
-        campaign = run_campaign(spec, workers=2, store=f"json:{tmp_path}")
+        path = str(tmp_path / "runs.sqlite")
+        campaign = run_campaign(spec, workers=2, store=path)
         assert campaign.executed == spec.size() == 8
         assert campaign.cache_hits == 0
-        files = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
-        assert len(files) == 8
+        with SqliteStore(path) as store:
+            assert store.run_count() == 8
         assert all(r is not None for r in campaign.results)
 
-        again = run_campaign(spec, workers=2, store=f"json:{tmp_path}")
+        again = run_campaign(spec, workers=2, store=path)
         assert again.executed == 0
         assert again.cache_hits == 8
         assert [r.summary for r in again.results] == [
@@ -308,7 +316,7 @@ class TestRunCampaign:
 
 
 class TestSharding:
-    """Distributed campaigns: K machines share a cache dir, each runs its
+    """Distributed campaigns: K machines share a store, each runs its
     deterministic config-hash shard, a final run assembles from cache."""
 
     def test_shards_partition_the_campaign(self):
@@ -396,7 +404,7 @@ class TestSharding:
 
 class TestCli:
     """The acceptance path: a 4-config x 3-seed campaign end to end via
-    the CLI with 2 workers, JSON results on disk, cache hit on re-run."""
+    the CLI with 2 workers, records on disk, cache hit on re-run."""
 
     ARGS = [
         "--protocols", "flooding,ss-spst",
@@ -410,16 +418,16 @@ class TestCli:
     ]
 
     def test_campaign_runs_and_recovers_from_cache(self, tmp_path, capsys):
-        args = self.ARGS + ["--store", f"json:{tmp_path}"]
+        path = str(tmp_path / "runs.sqlite")
+        args = self.ARGS + ["--store", path]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "12 runs (executed=12 cached=0" in out
         assert "pdr" in out and "flooding" in out
-        files = [f for f in os.listdir(tmp_path) if f.endswith(".json")]
-        assert len(files) == 12
-        for name in files:
-            with open(tmp_path / name) as fh:
-                record = json.load(fh)
+        with SqliteStore(path) as store:
+            records = [store.get(key) for key in store.keys()]
+        assert len(records) == 12
+        for record in records:
             assert record["schema"] == CACHE_SCHEMA
             assert 0.0 <= record["summary"]["pdr"] <= 1.0
 
@@ -428,11 +436,11 @@ class TestCli:
         assert "12 runs (executed=0 cached=12" in out
 
     def test_dry_run_lists_without_executing(self, tmp_path, capsys):
-        args = self.ARGS + ["--store", f"json:{tmp_path}", "--dry-run"]
+        args = self.ARGS + ["--store", str(tmp_path / "runs.sqlite"), "--dry-run"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "# 12 runs" in out
-        assert not [f for f in os.listdir(tmp_path) if f.endswith(".json")]
+        assert os.listdir(tmp_path) == []
 
     def test_list_figures(self, capsys):
         assert main(["--list-figures"]) == 0
@@ -497,7 +505,9 @@ class TestSweepIntegration:
             base=base,
             seeds=(1, 2),
         )
-        parallel = Sweep(**kw).run(workers=2, store=f"json:{tmp_path}")
+        parallel = Sweep(**kw).run(
+            workers=2, store=str(tmp_path / "runs.sqlite")
+        )
         serial = Sweep(**kw).run()
         assert parallel.series == serial.series
         assert parallel.x_values == serial.x_values

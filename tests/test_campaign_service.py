@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import sqlite3
 import time
 
 import pytest
@@ -43,12 +44,10 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.scheduler import (
-    SCHEDULER_NAMES,
     AsyncScheduler,
     CancelCampaign,
     SerialScheduler,
     default_scheduler,
-    scheduler_by_name,
 )
 from repro.experiments.service import CampaignService
 from repro.experiments.store import open_store
@@ -79,24 +78,10 @@ def deep_spec() -> CampaignSpec:
     )
 
 
-@pytest.fixture(params=["json", "sqlite"])
-def store_spec(request, tmp_path) -> str:
-    if request.param == "sqlite":
-        return f"sqlite:{tmp_path / 'results.sqlite'}"
-    return str(tmp_path / "records")
-
-
 # ----------------------------------------------------------------------
 # Scheduler interchangeability
 # ----------------------------------------------------------------------
 class TestSchedulers:
-    def test_by_name(self):
-        assert isinstance(scheduler_by_name("serial"), SerialScheduler)
-        assert isinstance(scheduler_by_name("async", 4), AsyncScheduler)
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            scheduler_by_name("celery")
-        assert SCHEDULER_NAMES == ("serial", "async")
-
     def test_default_rule(self):
         """Serial whenever at most one worker would be busy."""
         assert isinstance(default_scheduler(1, 8), SerialScheduler)
@@ -117,16 +102,10 @@ class TestSchedulers:
             tables.append(result.format_table(("rounds", "moves")))
         assert tables[0] == tables[1]
 
-    def test_string_scheduler_resolves(self, tmp_path):
-        result = run_campaign(
-            rounds_spec(), store=str(tmp_path / "r"), scheduler="serial"
-        )
-        assert result.executed == rounds_spec().size()
-
-    def test_async_heartbeats_land_in_store(self, store_spec):
+    def test_async_heartbeats_land_in_store(self, test_store):
         engine = AsyncScheduler(workers=2, heartbeat_s=0.01)
-        run_campaign(rounds_spec(), store=store_spec, scheduler=engine)
-        with open_store(store_spec) as store:
+        run_campaign(rounds_spec(), store=test_store, scheduler=engine)
+        with open_store(test_store) as store:
             beats = store.heartbeats()
         assert beats, "async scheduler should have published heartbeats"
         assert all(info["state"] == "done" for info in beats.values())
@@ -150,7 +129,7 @@ class TestCancelResume:
         per-cell aggregates of the partial store; re-invoking converges
         to the same table as an uninterrupted reference run."""
         spec = deep_spec()
-        store = f"sqlite:{tmp_path / 'deep.sqlite'}"
+        store = str(tmp_path / "deep.sqlite")
         partial = run_campaign(
             spec,
             store=store,
@@ -181,14 +160,14 @@ class TestCancelResume:
             reference.format_table(("rounds", "moves"))
         )
 
-    def test_serial_cancel_is_graceful_too(self, store_spec):
+    def test_serial_cancel_is_graceful_too(self, test_store):
         spec = rounds_spec()
         result = run_campaign(
-            spec, store=store_spec, on_update=self._cancel_after(1)
+            spec, store=test_store, on_update=self._cancel_after(1)
         )
         assert result.cancelled
         assert result.executed == 1
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             assert store.run_count() == 1  # the delivered run is durable
 
 
@@ -196,34 +175,34 @@ class TestCancelResume:
 # Work stealing and claims
 # ----------------------------------------------------------------------
 class TestWorkStealing:
-    def test_steal_runs_the_whole_campaign_from_one_shard(self, store_spec):
+    def test_steal_runs_the_whole_campaign_from_one_shard(self, test_store):
         spec = rounds_spec(seeds=(1, 2, 3))
-        first = run_campaign(spec, store=store_spec, shard=(0, 2), steal=True)
+        first = run_campaign(spec, store=test_store, shard=(0, 2), steal=True)
         assert first.executed == spec.size()  # own share + stolen leftovers
         assert first.skipped == 0
         assert first.stolen > 0
         assert first.stolen + (first.executed - first.stolen) == spec.size()
 
-        other = run_campaign(spec, store=store_spec, shard=(1, 2))
+        other = run_campaign(spec, store=test_store, shard=(1, 2))
         assert other.executed == 0
         assert other.cache_hits == spec.size()
 
     def test_steal_needs_shard_and_store(self, tmp_path):
         spec = rounds_spec()
         with pytest.raises(ValueError, match="steal=True needs"):
-            run_campaign(spec, store=str(tmp_path / "r"), steal=True)
+            run_campaign(spec, store=str(tmp_path / "r.sqlite"), steal=True)
         with pytest.raises(ValueError, match="steal=True needs"):
             run_campaign(spec, shard=(0, 2), steal=True)
 
-    def test_without_steal_foreign_runs_are_skipped(self, store_spec):
+    def test_without_steal_foreign_runs_are_skipped(self, test_store):
         spec = rounds_spec(seeds=(1, 2, 3))
-        result = run_campaign(spec, store=store_spec, shard=(0, 2))
+        result = run_campaign(spec, store=test_store, shard=(0, 2))
         assert result.stolen == 0
         assert result.skipped > 0
         assert result.executed + result.skipped == spec.size()
 
-    def test_claim_contention_release_and_expiry(self, store_spec):
-        with open_store(store_spec) as store:
+    def test_claim_contention_release_and_expiry(self, test_store):
+        with open_store(test_store) as store:
             assert store.claim("k1", "worker-a") is True
             assert store.claim("k1", "worker-b") is False  # held
             store.release("k1")
@@ -234,11 +213,11 @@ class TestWorkStealing:
             # the claimant died (its claim went stale): takeover allowed
             assert store.claim("k2", "worker-b", ttl_s=0.02) is True
 
-    def test_storing_a_record_releases_its_claim(self, store_spec):
+    def test_storing_a_record_releases_its_claim(self, test_store):
         cfg = rounds_base(seed=41, protocol="ss-spst")
         from repro.experiments.campaign import _execute, config_key
 
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             key = config_key(cfg)
             assert store.claim(key, "worker-a") is True
             store.store(cfg, _execute(cfg))
@@ -299,9 +278,9 @@ class TestStreamingAggregation:
 # The importable service
 # ----------------------------------------------------------------------
 class TestCampaignService:
-    def test_submit_status_results_roundtrip(self, store_spec):
+    def test_submit_status_results_roundtrip(self, test_store):
         spec = rounds_spec()
-        with CampaignService.open(store_spec, scheduler="serial") as svc:
+        with CampaignService(test_store, SerialScheduler()) as svc:
             submitted = svc.submit(spec)
             assert submitted.executed == spec.size()
 
@@ -319,16 +298,38 @@ class TestCampaignService:
             resubmitted = svc.submit(spec)  # warm: nothing to execute
             assert resubmitted.executed == 0
 
-    def test_migrate_from_json_cache(self, tmp_path):
+    def test_migrate_from_json_cache(self, tmp_path, legacy_json_dir):
         spec = rounds_spec()
-        json_root = str(tmp_path / "legacy-cache")
-        run_campaign(spec, store=f"json:{json_root}")
-        with CampaignService.open(
-            f"sqlite:{tmp_path / 'svc.sqlite'}"
-        ) as svc:
+        json_root = legacy_json_dir(spec.configs())
+        with CampaignService(str(tmp_path / "svc.sqlite")) as svc:
             migrated, skipped = svc.migrate_from(json_root)
             assert (migrated, skipped) == (spec.size(), 0)
             assert svc.submit(spec).cache_hits == spec.size()
+
+    def test_landed_runs_are_on_disk_after_migrate_from(
+        self, tmp_path, legacy_json_dir
+    ):
+        """Regression: a migration must not leave the store buffering
+        writes.  After ``migrate_from``, each run a submit lands is
+        already on disk (seen through a separate connection) when
+        ``on_update`` fires, so a killed campaign loses at most its
+        in-flight runs."""
+        spec = rounds_spec()
+        configs = spec.configs()
+        path = str(tmp_path / "svc.sqlite")
+        on_disk = []
+
+        def on_update(stream):
+            with sqlite3.connect(path) as conn:
+                (count,) = conn.execute(
+                    "SELECT COUNT(DISTINCT key) FROM runs"
+                ).fetchone()
+            on_disk.append(count)
+
+        with CampaignService(path, SerialScheduler()) as svc:
+            svc.migrate_from(legacy_json_dir(configs[:1]))
+            svc.submit(spec, on_update=on_update)
+        assert on_disk == list(range(2, len(configs) + 1))
 
 
 # ----------------------------------------------------------------------
@@ -346,24 +347,25 @@ SPEC_ARGS = [
 
 class TestCli:
     def test_flat_async_scheduler_and_sqlite_store(self, tmp_path, capsys):
-        store = f"sqlite:{tmp_path / 'cli.sqlite'}"
-        args = SPEC_ARGS + ["--store", store, "--scheduler", "async",
-                            "--workers", "2", "--quiet"]
+        store = str(tmp_path / "cli.sqlite")
+        args = SPEC_ARGS + ["--store", store, "--workers", "2", "--quiet"]
         assert main(args) == 0
         assert "executed=4 cached=0" in capsys.readouterr().out
+        with open_store(store) as opened:  # 2 workers x 4 runs: async
+            assert opened.heartbeats()
         assert main(args) == 0  # warm re-run through the same store
         assert "executed=0 cached=4" in capsys.readouterr().out
 
     def test_submit_is_the_flat_cli_under_its_service_name(
         self, tmp_path, capsys
     ):
-        store = str(tmp_path / "records")
+        store = str(tmp_path / "records.sqlite")
         assert main(["submit"] + SPEC_ARGS + ["--store", store, "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "# campaign cli-svc: 4 runs (executed=4" in out
 
     def test_status_subcommand_streams_partials(self, tmp_path, capsys):
-        store = str(tmp_path / "records")
+        store = str(tmp_path / "records.sqlite")
         # half the campaign (one shard) has landed; status must say so
         spec = rounds_spec(name="cli-svc")
         partial = run_campaign(spec, store=store, shard=(0, 2))
@@ -382,8 +384,20 @@ class TestCli:
 
         assert not os.path.exists(absent)  # status never creates stores
 
+    def test_retired_store_specs_are_clean_cli_errors(self, tmp_path):
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for verb in ([], ["status"], ["results"]):
+            for spec, hint in (
+                (str(legacy), "migrate"),
+                (f"json:{legacy}", "drop the prefix"),
+            ):
+                with pytest.raises(SystemExit, match=hint):
+                    main(verb + SPEC_ARGS + ["--store", spec])
+        assert os.listdir(tmp_path) == ["legacy"]
+
     def test_results_subcommand_and_json_out(self, tmp_path, capsys):
-        store = str(tmp_path / "records")
+        store = str(tmp_path / "records.sqlite")
         out_path = str(tmp_path / "campaign.json")
         run_campaign(rounds_spec(name="cli-svc"), store=store)
         capsys.readouterr()
@@ -398,11 +412,12 @@ class TestCli:
         assert payload["campaign"] == "cli-svc"
         assert payload["cells"]  # aggregates made it into the record
 
-    def test_migrate_subcommand_end_to_end(self, tmp_path, capsys):
-        json_root = str(tmp_path / "legacy")
+    def test_migrate_subcommand_end_to_end(
+        self, tmp_path, capsys, legacy_json_dir
+    ):
         sqlite_spec = str(tmp_path / "migrated.sqlite")
-        # 1. build a JSON cache dir the pre-refactor way
-        assert main(SPEC_ARGS + ["--store", f"json:{json_root}", "--quiet"]) == 0
+        # 1. a legacy JSON record dir holding the whole campaign
+        json_root = legacy_json_dir(rounds_spec(name="cli-svc").configs())
         # 2. migrate it into SQLite
         assert main(["migrate", json_root, sqlite_spec, "--quiet"]) == 0
         out = capsys.readouterr().out
@@ -414,7 +429,7 @@ class TestCli:
         assert "executed=0 cached=4" in capsys.readouterr().out
 
     def test_flat_shard_steal_flags(self, tmp_path, capsys):
-        store = str(tmp_path / "records")
+        store = str(tmp_path / "records.sqlite")
         argv = SPEC_ARGS + [
             "--store", store, "--shard", "0/2", "--steal", "--quiet"
         ]
@@ -427,7 +442,7 @@ class TestCli:
     def test_steal_without_shard_or_store_is_rejected(self, tmp_path):
         """``--steal`` only claims foreign-shard runs through a shared
         store; without both it would silently steal nothing."""
-        store = str(tmp_path / "records")
+        store = str(tmp_path / "records.sqlite")
         for argv in (
             SPEC_ARGS + ["--store", store, "--steal"],
             SPEC_ARGS + ["--shard", "0/2", "--steal"],

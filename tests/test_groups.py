@@ -630,7 +630,7 @@ class TestCampaignCli:
             "--set", "sim_time=12",
             "--set", "n_nodes=24",
             "--set", "group_size=4",
-            "--store", f"json:{tmp_path}",
+            "--store", str(tmp_path / "runs.sqlite"),
             "--quiet",
         ]
         assert main(args) == 0

@@ -33,7 +33,7 @@ from repro.experiments.backends import (
 )
 from repro.experiments.campaign import CampaignSpec, main
 from repro.experiments.store import (
-    JsonDirStore,
+    SqliteStore,
     config_key,
     record_from_result,
     result_from_record,
@@ -621,7 +621,7 @@ class TestSatelliteKnobs:
             "partition_fraction",
         ):
             del record["diagnostics"][f]
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         cache.store(cfg, record)
         loaded = result_from_record(cache.load(cfg))
         assert loaded.link_breaks_per_s != loaded.link_breaks_per_s  # nan
@@ -642,7 +642,7 @@ class TestSatelliteKnobs:
             "density_ref_n",
         ):
             del record["config"][name]
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         cache.store(cfg, record)
         loaded = cache.load(cfg)
         assert loaded is not None
@@ -655,7 +655,7 @@ class TestSatelliteKnobs:
             model_params={"gm_alpha": 0.5},
         )
         record = record_from_result(run_scenario(cfg))
-        cache = JsonDirStore(str(tmp_path))
+        cache = SqliteStore(str(tmp_path / "s.sqlite"))
         cache.store(cfg, record)
         loaded = cache.load(cfg)  # JSON turned the params into [[...]]
         assert loaded is not None

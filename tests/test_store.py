@@ -1,19 +1,19 @@
-"""Result-store layer: backends, parity, migration, concurrency.
+"""Result-store layer: the SQLite store, specs, migration, concurrency.
 
 The contracts pinned here (see docs/campaigns.md):
 
-* ``open_store`` dispatch and side-effect-free probing;
-* :class:`JsonDirStore` stays byte-compatible with the pre-refactor
-  JSON cache layout (same filenames, same file contents), with the
-  crash-safety discipline (fsync + atomic replace, stale-tmp sweeping);
-* :class:`SqliteStore` holds the same records behind the same
-  load/store semantics (WAL journaling, schema-versioned rows, batched
-  writes, reopen persistence, miss-never-error validation);
-* ``migrate`` ingests a v1/v2 JSON cache dir losslessly: the migrated
-  store resumes the campaign with 100% hits and identical aggregates;
+* a store spec is a SQLite file path; ``open_store`` refuses directories
+  and the retired ``json:``/``sqlite:`` prefixes, and probing never
+  creates anything;
+* :class:`SqliteStore` holds records behind forgiving load/store
+  semantics (WAL journaling, schema-versioned rows, each write durable
+  at once, reopen persistence, miss-never-error validation);
+* ``migrate`` ingests a legacy v1/v2 JSON record dir losslessly: the
+  migrated store resumes the campaign with 100% hits and identical
+  aggregates;
 * two campaign invocations racing on one store — same shard or split
-  shards, JSON dir or SQLite — lose no records, double none, and
-  aggregate identically to a serial reference run.
+  shards — lose no records, double none, and aggregate identically to a
+  serial reference run.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
-import time
 
 import pytest
 
@@ -33,13 +32,11 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.store import (
-    JsonDirStore,
     SqliteStore,
     config_key,
     migrate_json_dir,
     open_store,
     probe_store,
-    store_location,
 )
 
 #: rounds-backend configs stabilize in milliseconds at this scale, so
@@ -62,14 +59,6 @@ def rounds_spec(name="store-test", seeds=(1, 2), **kw) -> CampaignSpec:
     )
 
 
-@pytest.fixture(params=["json", "sqlite"])
-def store_spec(request, tmp_path) -> str:
-    """One spec string per store backend, both over a fresh tmp dir."""
-    if request.param == "sqlite":
-        return f"sqlite:{tmp_path / 'results.sqlite'}"
-    return str(tmp_path / "records")
-
-
 def _record_for(config: ScenarioConfig) -> dict:
     return _execute(config)
 
@@ -78,81 +67,49 @@ def _record_for(config: ScenarioConfig) -> dict:
 # Resolution
 # ----------------------------------------------------------------------
 class TestOpenStore:
-    def test_bare_path_is_json_dir(self, tmp_path):
-        store = open_store(str(tmp_path / "cache"))
-        assert isinstance(store, JsonDirStore)
-
-    def test_sqlite_by_suffix_and_prefix(self, tmp_path):
-        for spec in (
-            str(tmp_path / "a.sqlite"),
-            str(tmp_path / "b.db"),
-            f"sqlite:{tmp_path / 'c.anything'}",
-        ):
-            store = open_store(spec)
+    def test_any_path_is_a_sqlite_file(self, tmp_path):
+        for name in ("a.sqlite", "b.db", "c.anything", "records"):
+            store = open_store(str(tmp_path / name))
             assert isinstance(store, SqliteStore)
             store.close()
+            assert (tmp_path / name).is_file()
 
     def test_explicit_json_prefix(self, tmp_path):
-        store = open_store(f"json:{tmp_path / 'd'}")
-        assert isinstance(store, JsonDirStore)
+        """The retired ``json:``/``sqlite:`` spec prefixes are refused
+        with an error that says what to do, and nothing is created."""
+        for prefix in ("json:", "sqlite:"):
+            spec = f"{prefix}{tmp_path / 'x.sqlite'}"
+            with pytest.raises(ValueError, match="drop the prefix"):
+                open_store(spec)
+            with pytest.raises(ValueError, match="drop the prefix"):
+                probe_store(spec)
+        assert os.listdir(tmp_path) == []
+
+    def test_existing_dir_is_refused(self, tmp_path):
+        """A legacy JSON record dir is migrate input, never a store."""
+        legacy = tmp_path / "legacy"
+        legacy.mkdir()
+        for open_ in (open_store, probe_store):
+            with pytest.raises(ValueError, match="migrate"):
+                open_(str(legacy))
+        assert os.listdir(legacy) == []
 
     def test_instance_passthrough(self, tmp_path):
-        store = JsonDirStore(str(tmp_path / "e"))
+        store = SqliteStore(str(tmp_path / "e.sqlite"))
         assert open_store(store) is store
 
     def test_probe_does_not_create(self, tmp_path):
         for spec in (
-            str(tmp_path / "absent-dir"),
+            str(tmp_path / "absent-file"),
             str(tmp_path / "absent.sqlite"),
         ):
             assert probe_store(spec) is None
-            assert not os.path.exists(store_location(spec))
+            assert not os.path.exists(spec)
 
     def test_probe_opens_existing(self, tmp_path):
-        path = tmp_path / "present"
-        path.mkdir()
-        assert isinstance(probe_store(str(path)), JsonDirStore)
-
-
-# ----------------------------------------------------------------------
-# JSON dir store: the historical layout, hardened
-# ----------------------------------------------------------------------
-class TestJsonDirStore:
-    def test_layout_matches_pre_refactor_bytes(self, tmp_path):
-        """A stored record is the exact file the old JSON cache wrote:
-        ``<config_key>.json`` holding sorted-keys JSON."""
-        cfg = rounds_base(seed=7, protocol="ss-spst")
-        record = _record_for(cfg)
-        store = JsonDirStore(str(tmp_path))
-        path = store.store(cfg, record)
-        assert os.path.basename(path) == f"{config_key(cfg)}.json"
-        with open(path, encoding="utf-8") as fh:
-            assert fh.read() == json.dumps(record, sort_keys=True)
-        assert store.load(cfg) == record
-
-    def test_no_tmp_debris_after_store(self, tmp_path):
-        store = JsonDirStore(str(tmp_path))
-        cfg = rounds_base(seed=3, protocol="ss-spst")
-        store.store(cfg, _record_for(cfg))
-        assert not [n for n in os.listdir(tmp_path) if ".tmp." in n]
-
-    def test_stale_tmps_swept_on_open(self, tmp_path):
-        stale = tmp_path / "deadbeef.json.tmp.12345"
-        stale.write_text("{trunc")
-        old = time.time() - 7200
-        os.utime(stale, (old, old))
-        fresh = tmp_path / "cafebabe.json.tmp.6789"
-        fresh.write_text("{trunc")
-        JsonDirStore(str(tmp_path))
-        assert not stale.exists()  # killed writer's debris
-        assert fresh.exists()  # maybe another live writer's in-flight file
-
-    def test_truncated_record_is_a_miss(self, tmp_path):
-        store = JsonDirStore(str(tmp_path))
-        cfg = rounds_base(seed=5, protocol="ss-spst")
-        with open(store.path(cfg), "w", encoding="utf-8") as fh:
-            fh.write('{"schema": 2, "config"')  # a torn non-atomic write
-        assert store.load(cfg) is None
+        path = str(tmp_path / "present.sqlite")
+        SqliteStore(path).close()
+        assert isinstance(probe_store(path), SqliteStore)
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +154,18 @@ class TestSqliteStore:
         assert store.load(cfg) == record
         store.close()
 
+    def test_truncated_record_is_a_miss(self, tmp_path):
+        store = SqliteStore(str(tmp_path / "s.sqlite"))
+        cfg = rounds_base(seed=5, protocol="ss-spst")
+        store.store(cfg, _record_for(cfg))
+        with store._conn:  # a torn or hand-edited record column
+            store._conn.execute(
+                "UPDATE runs SET record = ? WHERE key = ?",
+                ('{"schema": 2, "config"', config_key(cfg)),
+            )
+        assert store.load(cfg) is None
+        store.close()
+
     def test_duplicate_put_keeps_one_row(self, tmp_path):
         store = SqliteStore(str(tmp_path / "s.sqlite"))
         cfg = rounds_base(seed=17, protocol="ss-spst")
@@ -206,18 +175,19 @@ class TestSqliteStore:
         assert store.run_count() == 1
         store.close()
 
-    def test_batched_writes_flush_on_read_and_close(self, tmp_path):
+    def test_each_put_is_durable_at_once(self, tmp_path):
+        """No write buffer: another connection sees every record as soon
+        as ``store`` returns, before any flush or close."""
         path = str(tmp_path / "s.sqlite")
-        store = SqliteStore(path, batch_size=64)
-        cfg = rounds_base(seed=19, protocol="ss-spst")
-        record = _record_for(cfg)
-        store.store(cfg, record)
-        assert store.load(cfg) == record  # reads see buffered writes
-        cfg2 = rounds_base(seed=23, protocol="ss-spst")
-        store.store(cfg2, _record_for(cfg2))
-        store.close()  # close drains the batch durably
-        with SqliteStore(path) as reopened:
-            assert reopened.run_count() == 2
+        store = SqliteStore(path)
+        with SqliteStore(path) as reader:
+            for seed in (19, 23):
+                cfg = rounds_base(seed=seed, protocol="ss-spst")
+                record = _record_for(cfg)
+                store.store(cfg, record)
+                assert reader.load(cfg) == record
+            assert reader.run_count() == 2
+        store.close()
 
     def test_put_many_is_one_batch(self, tmp_path):
         store = SqliteStore(str(tmp_path / "s.sqlite"))
@@ -229,61 +199,52 @@ class TestSqliteStore:
 
 
 # ----------------------------------------------------------------------
-# Campaign parity across stores
+# Campaigns through the store
 # ----------------------------------------------------------------------
 class TestCampaignParity:
-    def test_cold_then_warm(self, store_spec):
+    def test_cold_then_warm(self, test_store):
         spec = rounds_spec()
-        cold = run_campaign(spec, store=store_spec)
+        cold = run_campaign(spec, store=test_store)
         assert cold.executed == spec.size()
-        warm = run_campaign(spec, store=store_spec)
+        warm = run_campaign(spec, store=test_store)
         assert (warm.executed, warm.cache_hits) == (0, spec.size())
         for a, b in zip(cold.results, warm.results):
             assert a.summary == b.summary
 
-    def test_shard_split_reassembles(self, store_spec):
+    def test_shard_split_reassembles(self, test_store):
         spec = rounds_spec()
-        n0 = run_campaign(spec, store=store_spec, shard=(0, 2))
-        n1 = run_campaign(spec, store=store_spec, shard=(1, 2))
+        n0 = run_campaign(spec, store=test_store, shard=(0, 2))
+        n1 = run_campaign(spec, store=test_store, shard=(1, 2))
         assert n0.executed + n1.executed == spec.size()
-        final = run_campaign(spec, store=store_spec)
+        final = run_campaign(spec, store=test_store)
         assert (final.executed, final.cache_hits) == (0, spec.size())
 
-    def test_collect_campaign_never_executes(self, store_spec):
+    def test_collect_campaign_never_executes(self, test_store):
         spec = rounds_spec()
-        run_campaign(spec, store=store_spec, shard=(0, 2))
-        partial = collect_campaign(spec, store_spec)
+        run_campaign(spec, store=test_store, shard=(0, 2))
+        partial = collect_campaign(spec, test_store)
         assert partial.executed == 0
         assert 0 < partial.cache_hits < spec.size()
         assert partial.skipped == spec.size() - partial.cache_hits
-
-    def test_stores_agree_bit_for_bit(self, tmp_path):
-        """The same campaign through both stores aggregates identically."""
-        spec = rounds_spec()
-        via_json = run_campaign(spec, store=str(tmp_path / "records"))
-        via_sql = run_campaign(
-            spec, store=f"sqlite:{tmp_path / 'results.sqlite'}"
-        )
-        extract = via_json.extractor("rounds")
-        assert via_json.aggregate(extract) == via_sql.aggregate(extract)
 
 
 # ----------------------------------------------------------------------
 # Migration
 # ----------------------------------------------------------------------
 class TestMigration:
-    def test_json_dir_to_sqlite_losslessly(self, tmp_path):
+    def test_json_dir_to_sqlite_losslessly(self, tmp_path, legacy_json_dir):
         spec = rounds_spec(seeds=(1, 2, 3))
-        json_root = str(tmp_path / "records")
-        reference = run_campaign(spec, store=json_root)
+        reference = run_campaign(spec)
+        json_root = legacy_json_dir(spec.configs())
 
-        # debris a real long-lived cache dir accumulates: must be
+        # debris a real long-lived record dir accumulates: must be
         # skipped, never migrated, never fatal
-        (tmp_path / "records" / "notes.json").write_text('{"a": 1}')
-        (tmp_path / "records" / "broken.json").write_text("{nope")
+        (tmp_path / "legacy" / "notes.json").write_text('{"a": 1}')
+        (tmp_path / "legacy" / "broken.json").write_text("{nope")
 
-        dest = f"sqlite:{tmp_path / 'migrated.sqlite'}"
-        migrated, skipped = migrate_json_dir(json_root, dest)
+        dest = str(tmp_path / "migrated.sqlite")
+        with SqliteStore(dest) as store:
+            migrated, skipped = migrate_json_dir(json_root, store)
         assert migrated == spec.size()
         assert skipped == 2
 
@@ -310,11 +271,10 @@ class TestMigration:
         with open(json_root / f"{config_key(cfg)}.json", "w") as fh:
             json.dump(v1, fh, sort_keys=True)
 
-        dest = f"sqlite:{tmp_path / 'migrated.sqlite'}"
-        migrated, skipped = migrate_json_dir(str(json_root), dest)
-        assert (migrated, skipped) == (1, 0)
-        with open_store(dest) as store:
+        with SqliteStore(str(tmp_path / "migrated.sqlite")) as store:
+            migrated, skipped = migrate_json_dir(str(json_root), store)
             loaded = store.load(cfg)
+        assert (migrated, skipped) == (1, 0)
         assert loaded is not None
         assert loaded["schema"] == 1
         assert loaded["summary"] == v1["summary"]
@@ -326,30 +286,30 @@ class TestMigration:
 def _race_child(args) -> int:
     """Child-process body: run one campaign invocation against the
     shared store (top level so the spawn start method could pickle it)."""
-    spec, store_spec, shard = args
-    result = run_campaign(spec, store=store_spec, shard=shard)
+    spec, store, shard = args
+    result = run_campaign(spec, store=store, shard=shard)
     return result.executed
 
 
 class TestConcurrentAccess:
-    def _race(self, store_spec, shards):
+    def _race(self, store, shards):
         spec = rounds_spec(seeds=(1, 2, 3))
         with multiprocessing.Pool(len(shards)) as pool:
             executed = pool.map(
                 _race_child,
-                [(spec, store_spec, shard) for shard in shards],
+                [(spec, store, shard) for shard in shards],
             )
         return spec, executed
 
-    def test_racing_shards(self, store_spec):
+    def test_racing_shards(self, test_store):
         """Two shards writing one store concurrently: no lost records,
         no doubled records, aggregates identical to a serial run."""
-        spec, executed = self._race(store_spec, [(0, 2), (1, 2)])
+        spec, executed = self._race(test_store, [(0, 2), (1, 2)])
         assert sum(executed) == spec.size()
 
-        with open_store(store_spec) as store:
+        with open_store(test_store) as store:
             assert store.run_count() == spec.size()  # none lost or doubled
-        assembled = collect_campaign(spec, store_spec)
+        assembled = collect_campaign(spec, test_store)
         assert assembled.skipped == 0
 
         serial = run_campaign(rounds_spec(seeds=(1, 2, 3)))
@@ -357,14 +317,14 @@ class TestConcurrentAccess:
             extract = serial.extractor(metric)
             assert assembled.aggregate(extract) == serial.aggregate(extract)
 
-    def test_racing_full_overlap(self, store_spec):
+    def test_racing_full_overlap(self, test_store):
         """Worst case: two unsharded invocations of the whole campaign.
         Work is duplicated (both execute), records are not (idempotent
         keyed writes collapse the duplicates)."""
-        spec, _ = self._race(store_spec, [None, None])
-        with open_store(store_spec) as store:
+        spec, _ = self._race(test_store, [None, None])
+        with open_store(test_store) as store:
             assert store.run_count() == spec.size()
-        assembled = collect_campaign(spec, store_spec)
+        assembled = collect_campaign(spec, test_store)
         assert assembled.skipped == 0
         serial = run_campaign(rounds_spec(seeds=(1, 2, 3)))
         extract = serial.extractor("rounds")
