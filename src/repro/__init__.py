@@ -2,7 +2,7 @@
 Hoc Networks: A Multicasting Case Study" (Mukherjee, Sridharan, Gupta —
 IPDPS 2007).
 
-Layout (see README.md / DESIGN.md):
+Layout (see README.md and docs/):
 
 * :mod:`repro.core` — the paper's contribution: the four tree-cost
   metrics (hop / T / F / E), the guarded self-stabilizing rule, round

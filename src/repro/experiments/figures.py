@@ -5,7 +5,7 @@ scale (minutes of wall-clock; shorter runs, coarser grids, 3 seeds) or at
 *paper* scale (1800 s runs, the full grids), how to print the series the
 paper plots, and which **shape checks** must hold — the qualitative
 orderings and trends the reproduction is accountable for (absolute
-mJ/ms values depend on unpublished ns-2 constants; see DESIGN.md §4).
+mJ/ms values depend on unpublished ns-2 constants; see docs/des.md).
 
 Shape checks are deliberately robust statements (trend endpoints, series
 means, winner identities) rather than point comparisons, because

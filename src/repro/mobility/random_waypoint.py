@@ -80,6 +80,9 @@ class RandomWaypoint(MobilityModel):
         self._dst = pos.copy()
         self._paused = np.zeros(n, dtype=bool)
         self._pos_buf = pos.copy()
+        # interpolation terms of the current legs, kept until a leg changes
+        self._safe_span = np.ones(n)
+        self._delta = np.zeros((n, 2))
 
     # ------------------------------------------------------------------
     def _new_leg(self, i: int, t: float) -> None:
@@ -105,16 +108,18 @@ class RandomWaypoint(MobilityModel):
 
     def _positions_at(self, t: float) -> np.ndarray:
         expired = np.nonzero(self._t1 < t)[0]
-        # A node may burn through several short legs before t; loop until
-        # every node's current leg covers t.
-        while expired.size:
-            for i in expired:
-                self._new_leg(int(i), float(self._t1[i]))
-            expired = np.nonzero(self._t1 < t)[0]
-        span = self._t1 - self._t0
-        safe_span = np.where(span > 0.0, span, 1.0)  # zero-span legs have src == dst
-        frac = np.clip((t - self._t0) / safe_span, 0.0, 1.0)
-        np.multiply(self._dst - self._src, frac[:, None], out=self._pos_buf)
+        if expired.size:
+            # A node may burn through several short legs before t; loop
+            # until every node's current leg covers t.
+            while expired.size:
+                for i in expired:
+                    self._new_leg(int(i), float(self._t1[i]))
+                expired = np.nonzero(self._t1 < t)[0]
+            span = self._t1 - self._t0
+            self._safe_span = np.where(span > 0.0, span, 1.0)  # zero-span legs have src == dst
+            self._delta = self._dst - self._src
+        frac = np.clip((t - self._t0) / self._safe_span, 0.0, 1.0)
+        np.multiply(self._delta, frac[:, None], out=self._pos_buf)
         self._pos_buf += self._src
         return self._pos_buf
 

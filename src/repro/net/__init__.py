@@ -1,7 +1,7 @@
 """Wireless network substrate: packets, medium, MAC, nodes.
 
 This replaces the ns-2 PHY/MAC/agent plumbing the paper's evaluation ran
-on.  The model (see DESIGN.md section 4 for the substitution argument):
+on.  The model (see docs/des.md for the substitution argument):
 
 * **Broadcast medium with power control** — a transmission at range ``r``
   reaches every alive node within ``r`` of the sender (wireless multicast

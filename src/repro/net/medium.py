@@ -17,7 +17,7 @@ channel error beyond collisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -41,13 +41,13 @@ class Transmission:
     packet: Packet
 
 
-@dataclass
+@dataclass(slots=True, eq=False)
 class _Reception:
     """One receiver's view of an in-flight frame."""
 
     tx: Transmission
     receiver: NodeId
-    rx_power: float = 0.0  # relative received power (capture comparisons)
+    rx_power: float  # relative received power (capture comparisons)
     corrupted: bool = False
 
 
@@ -146,8 +146,8 @@ class WirelessMedium:
         """Put a frame on the air with power reaching ``tx_range``.
 
         Charges the sender, computes the receiver set from current
-        positions, applies the collision/loss model, and schedules per-
-        receiver delivery at the end of the airtime.
+        positions, applies the collision/loss model, and schedules one
+        event at the end of the airtime that completes every reception.
         """
         net = self.network
         sim = net.sim
@@ -157,15 +157,18 @@ class WirelessMedium:
             raise ValueError("tx_range must be positive")
         tx_range = min(tx_range, radio.max_range)
 
-        sender_node = net.nodes[sender]
+        nodes = net.nodes
+        sender_node = nodes[sender]
         if not sender_node.alive:
             raise RuntimeError(f"dead node {sender} cannot transmit")
 
-        positions = net.positions().copy()  # freeze positions at tx start
+        # Frozen at tx start without a copy: Network.positions replaces
+        # its cached array at every new timestamp and never writes into it.
+        positions = net.positions()
         duration = self.airtime(packet)
         tx = Transmission(
             sender=sender,
-            sender_pos=positions[sender].copy(),
+            sender_pos=positions[sender],
             tx_range=float(tx_range),
             t_start=now,
             t_end=now + duration,
@@ -184,66 +187,72 @@ class WirelessMedium:
         # Receiver set: alive nodes strictly within tx range (not sender).
         deltas = positions - tx.sender_pos
         dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        in_range = np.nonzero((dists <= tx_range) & (dists > 0.0))[0]
+        in_range = np.nonzero((dists <= tx_range) & (dists > 0.0))[0].tolist()
+        dist = dists.tolist()
 
+        receptions = self._receptions
+        cp = self.capture_threshold
+        batch: List[_Reception] = []
         for rid in in_range:
-            rid = int(rid)
-            node = net.nodes[rid]
+            node = nodes[rid]
             if not node.alive:
                 continue
-            d = max(float(dists[rid]), 1.0)
+            d = max(dist[rid], 1.0)
             # Relative received power: transmit power scales with the
             # power-controlled range^alpha, path loss with distance^alpha.
-            rec = _Reception(tx=tx, receiver=rid, rx_power=(tx_range / d) ** 2)
+            rec = _Reception(tx, rid, (tx_range / d) ** 2)
             # Half duplex: receiver currently transmitting -> corrupted.
-            if net.nodes[rid].tx_busy_until > now:
+            if node.tx_busy_until > now:
                 rec.corrupted = True
-            # Collisions with other in-flight receptions at this node,
-            # subject to power capture (ns-2 CPThresh semantics).
-            ongoing = self._receptions.setdefault(rid, [])
-            cp = self.capture_threshold
+            # Collisions with the receptions still in the air at this node
+            # (ended ones are dropped here), subject to power capture
+            # (ns-2 CPThresh semantics).
+            ongoing = [o for o in receptions.get(rid, ()) if o.tx.t_end > now]
             for other in ongoing:
-                if other.tx.t_end > now:  # overlap in time
-                    if rec.rx_power >= other.rx_power * cp:
-                        other.corrupted = True  # we capture the receiver
-                    elif other.rx_power >= rec.rx_power * cp:
-                        rec.corrupted = True  # the ongoing frame dominates
-                    else:
-                        other.corrupted = True
-                        rec.corrupted = True
+                if rec.rx_power >= other.rx_power * cp:
+                    other.corrupted = True  # we capture the receiver
+                elif other.rx_power >= rec.rx_power * cp:
+                    rec.corrupted = True  # the ongoing frame dominates
+                else:
+                    other.corrupted = True
+                    rec.corrupted = True
             ongoing.append(rec)
+            receptions[rid] = ongoing
             # Residual random loss.
             if not rec.corrupted and self.loss_prob > 0.0:
                 if float(self.rng.random()) < self.loss_prob:
                     rec.corrupted = True
                     self.stats.frames_lost_random += 1
-            sim.schedule(duration, self._complete_reception, rec)
+            batch.append(rec)
 
-        net.nodes[sender].tx_busy_until = max(
-            net.nodes[sender].tx_busy_until, tx.t_end
-        )
+        # One event completes the whole batch, in ascending receiver id.
+        # This cannot reorder anything against one event per receiver:
+        # those events shared one time and priority and had consecutive
+        # seqs, and anything scheduled while they ran got a larger seq,
+        # so no other event could ever fire between them.
+        if batch:
+            sim.schedule(duration, self._complete_reception, batch)
+
+        sender_node.tx_busy_until = max(sender_node.tx_busy_until, tx.t_end)
         return tx
 
     # ------------------------------------------------------------------
-    def _complete_reception(self, rec: _Reception) -> None:
+    def _complete_reception(self, batch: List[_Reception]) -> None:
         net = self.network
-        node = net.nodes[rec.receiver]
-        lst = self._receptions.get(rec.receiver)
-        if lst is not None:
-            try:
-                lst.remove(rec)
-            except ValueError:  # pragma: no cover - defensive
-                pass
-        if not node.alive:
-            return
-        packet = rec.tx.packet
-        self.stats.receptions_total += 1
+        nodes = net.nodes
+        stats = self.stats
+        packet = batch[0].tx.packet
         # The radio listened for the full frame either way.
         joules = net.radio.rx_energy(packet.bits)
-        node.charge_rx(joules, packet)
-        if rec.corrupted:
-            self.stats.frames_collided += 1
-            node.reclassify_discard(joules, packet)
-            return
-        self.stats.frames_delivered += 1
-        node.deliver(packet, joules)
+        for rec in batch:
+            node = nodes[rec.receiver]
+            if not node.alive:
+                continue
+            stats.receptions_total += 1
+            node.charge_rx(joules, packet)
+            if rec.corrupted:
+                stats.frames_collided += 1
+                node.reclassify_discard(joules, packet)
+                continue
+            stats.frames_delivered += 1
+            node.deliver(packet, joules)

@@ -16,7 +16,7 @@ the paper's comparison rests on:
 * **soft state + re-join** — a tree node that misses hellos/data for the
   timeout drops off the tree; members re-join via RREQ with backoff.
 
-Simplifications vs. the RFC draft (documented in DESIGN.md section 4):
+Simplifications vs. the RFC draft (documented in docs/des.md):
 sequence numbers are reduced to hello generation counts, there is no
 group-leader election (the source is the leader for the session lifetime,
 true in the paper's single-source scenarios), and tree pruning of

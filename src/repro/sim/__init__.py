@@ -5,9 +5,10 @@ event heap (:mod:`repro.sim.events`), a simulation environment with
 scheduling and run control (:mod:`repro.sim.kernel`) and
 self-rescheduling timers (:mod:`repro.sim.timers`).
 
-The kernel is intentionally minimal and allocation-light: events are
-``__slots__`` objects, ties are broken FIFO by a sequence counter, and
-cancellation is O(1) lazy (cancelled events are skipped when popped).
+The kernel is intentionally minimal and allocation-light: the heap holds
+``(time, priority, seq, event)`` tuples, ties are broken FIFO by the
+sequence counter, and cancellation is O(1) lazy (cancelled events are
+skipped when popped).  ``docs/des.md`` states the ordering contract.
 """
 
 from repro.sim.events import Event

@@ -1,9 +1,8 @@
-"""Event objects for the simulation kernel.
+"""Event handles for the simulation kernel.
 
-An :class:`Event` is a scheduled callback.  Ordering is by ``(time,
-priority, seq)`` where ``seq`` is a global insertion counter, so events at
-the same timestamp with the same priority fire in FIFO order — this makes
-simulations bit-for-bit deterministic for a given seed.
+The kernel's heap holds ``(time, priority, seq, event)`` tuples and orders
+them as tuples (see :mod:`repro.sim.kernel`); an :class:`Event` carries
+the callback and is the handle used to cancel it.
 """
 
 from __future__ import annotations
@@ -12,24 +11,14 @@ from typing import Any, Callable, Tuple
 
 
 class Event:
-    """A scheduled callback; compare by ``(time, priority, seq)``.
+    """A scheduled callback and its cancel handle.
 
     Do not construct directly — use :meth:`repro.sim.kernel.Simulator.schedule`.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "args", "cancelled")
+    __slots__ = ("callback", "args", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        seq: int,
-        callback: Callable[..., Any],
-        args: Tuple[Any, ...],
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
+    def __init__(self, callback: Callable[..., Any], args: Tuple[Any, ...]) -> None:
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -38,14 +27,7 @@ class Event:
         """Mark the event cancelled; the kernel will skip it when popped."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.callback, "__name__", repr(self.callback))
-        return f"Event(t={self.time:.6f}, prio={self.priority}, {name}, {state})"
+        return f"Event({name}, {state})"

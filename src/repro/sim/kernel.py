@@ -9,7 +9,9 @@ Usage::
 The kernel guarantees:
 
 * time never goes backwards (scheduling in the past raises),
-* events at equal time fire in (priority, insertion) order,
+* events at equal time fire in (priority, insertion) order: the heap
+  holds ``(time, priority, seq, event)`` tuples with ``seq`` a unique
+  insertion counter, so plain tuple order never reaches the event,
 * ``run(until=T)`` executes every event with ``time <= T`` and leaves
   ``now == T``.
 """
@@ -17,7 +19,7 @@ The kernel guarantees:
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event
 
@@ -31,7 +33,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -72,9 +74,9 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self._now})"
             )
-        ev = Event(float(time), priority, self._seq, callback, args)
+        ev = Event(callback, args)
+        heapq.heappush(self._heap, (float(time), priority, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     # ------------------------------------------------------------------
@@ -82,19 +84,16 @@ class Simulator:
     # ------------------------------------------------------------------
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or None."""
-        self._drop_cancelled()
-        return self._heap[0].time if self._heap else None
+        heap = self._heap
+        while heap and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if none remain."""
-        self._drop_cancelled()
-        if not self._heap:
-            return False
-        ev = heapq.heappop(self._heap)
-        self._now = ev.time
-        self.events_executed += 1
-        ev.callback(*ev.args)
-        return True
+        before = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed > before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or ``stop()``.
@@ -106,21 +105,24 @@ class Simulator:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
-        executed = 0
+        heap = self._heap
+        pop = heapq.heappop
+        horizon = float("inf") if until is None else until
+        last = (
+            float("inf") if max_events is None
+            else self.events_executed + max_events
+        )
         try:
-            while not self._stopped:
-                self._drop_cancelled()
-                if not self._heap:
+            while heap and not self._stopped:
+                if heap[0][0] > horizon:
                     break
-                nxt = self._heap[0].time
-                if until is not None and nxt > until:
-                    break
-                ev = heapq.heappop(self._heap)
-                self._now = ev.time
+                time, _, _, ev = pop(heap)
+                if ev.cancelled:
+                    continue
+                self._now = time
                 self.events_executed += 1
-                executed += 1
                 ev.callback(*ev.args)
-                if max_events is not None and executed >= max_events:
+                if self.events_executed >= last:
                     break
         finally:
             self._running = False
@@ -134,13 +136,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of non-cancelled events still queued."""
-        return sum(1 for ev in self._heap if not ev.cancelled)
-
-    # ------------------------------------------------------------------
-    def _drop_cancelled(self) -> None:
-        heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return f"Simulator(now={self._now:.6f}, pending={self.pending})"

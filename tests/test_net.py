@@ -122,6 +122,43 @@ class TestMediumDelivery:
             net.medium.broadcast(0, data_packet(0), tx_range=150.0)
 
 
+class TestMediumBatchOrdering:
+    def test_zero_delay_send_waits_for_the_whole_batch(self):
+        """A frame one receiver sends at zero delay from its delivery
+        callback goes on air only after every reception of the batch
+        that delivered to it has completed."""
+        sim, net = make_network([[0, 0], [50, 0], [100, 0], [150, 0]])
+        medium = net.medium
+        log = []
+
+        class Relay(RecordingAgent):
+            def handle_packet(self, packet):
+                log.append(("rx", self.node.id, sim.now))
+                if self.node.id == 1 and packet.origin == 0:
+                    self.node.send(data_packet(1, seq=1), tx_range=60.0)
+                return True
+
+        for node in net.nodes:
+            node.agent = Relay(node)
+        broadcast = medium.broadcast
+
+        def traced(sender, packet, tx_range):
+            log.append(("tx", sender, sim.now, medium.stats.receptions_total))
+            return broadcast(sender, packet, tx_range)
+
+        medium.broadcast = traced
+        medium.broadcast(0, data_packet(0), tx_range=160.0)
+        sim.run()
+        t_end = data_packet(0).bits / medium.bitrate_bps
+        assert log[:5] == [
+            ("tx", 0, 0.0, 0),
+            ("rx", 1, t_end),
+            ("rx", 2, t_end),
+            ("rx", 3, t_end),
+            ("tx", 1, t_end, 3),
+        ]
+
+
 class TestMediumEnergy:
     def test_sender_charged_for_tx_range(self):
         sim, net = make_network([[0, 0], [100, 0]])

@@ -1,6 +1,8 @@
 """Tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.kernel import SimulationError, Simulator
 
@@ -139,3 +141,103 @@ class TestRunControl:
         assert sim.peek() is None
         sim.schedule(3.0, lambda: None)
         assert sim.peek() == 3.0
+
+    def test_until_stops_at_cancelled_head_beyond_it(self, sim):
+        log = []
+        sim.schedule(5.0, log.append, "cancelled").cancel()
+        sim.schedule(7.0, log.append, "live")
+        sim.run(until=3.0)
+        assert log == [] and sim.now == 3.0
+        sim.run()
+        assert log == ["live"] and sim.now == 7.0
+
+    def test_until_skips_cancelled_head_inside_it(self, sim):
+        log = []
+        sim.schedule(1.0, log.append, "cancelled").cancel()
+        sim.schedule(2.0, log.append, "live")
+        sim.schedule(4.0, log.append, "late")
+        sim.run(until=3.0)
+        assert log == ["live"] and sim.now == 3.0
+        assert sim.events_executed == 1
+
+    def test_step_peek_pending_ignore_cancelled(self, sim):
+        log = []
+        sim.schedule(1.0, log.append, 1).cancel()
+        sim.schedule(2.0, log.append, 2)
+        sim.schedule(3.0, log.append, 3).cancel()
+        assert sim.pending == 1
+        assert sim.peek() == 2.0
+        assert sim.step() is True
+        assert log == [2] and sim.now == 2.0
+        assert sim.peek() is None and sim.pending == 0
+        assert sim.step() is False
+        assert sim.events_executed == 1
+
+
+# One action of a script: schedule (delay, priority) or cancel handle k.
+_ACTION = st.one_of(
+    st.tuples(
+        st.just("schedule"),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        st.integers(-1, 1),
+    ),
+    st.tuples(st.just("cancel"), st.integers(0, 63)),
+)
+
+
+class TestOrderingProperty:
+    """A reference model of the heap: every event that fires is the least
+    pending, non-cancelled ``(time, priority, seq)`` key at that moment,
+    with ``seq`` counting schedule calls.  ``scripts[0]`` runs before the
+    simulation and ``scripts[seq + 1]`` when event ``seq`` fires; each
+    schedules and cancels further events, ties in time and priority are
+    common, and ``run(until=)`` splits the run in two."""
+
+    CAP = 60  # schedule calls per example
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scripts=st.lists(st.lists(_ACTION, max_size=4), min_size=1, max_size=40),
+        until=st.sampled_from([0.0, 0.5, 1.0, 2.5, 4.0]),
+    )
+    def test_fires_in_key_order(self, scripts, until):
+        sim = Simulator()
+        handles = []
+        pending = {}  # seq -> (time, priority, seq) of live events
+        fired = []
+
+        def act(action):
+            if action[0] == "schedule":
+                if len(handles) >= self.CAP:
+                    return
+                _, delay, prio = action
+                seq = len(handles)
+                pending[seq] = (sim.now + delay, prio, seq)
+                handles.append(
+                    sim.schedule(delay, fire, seq, priority=prio)
+                )
+            elif handles:
+                k = action[1] % len(handles)
+                handles[k].cancel()
+                pending.pop(k, None)
+
+        def fire(seq):
+            assert pending[seq] == min(pending.values())
+            assert sim.now == pending.pop(seq)[0]
+            fired.append(seq)
+            if seq + 1 < len(scripts):
+                for action in scripts[seq + 1]:
+                    act(action)
+
+        for action in scripts[0]:
+            act(action)
+        sim.run(until=until)
+        assert sim.now == until
+        assert all(key[0] > until for key in pending.values())
+        assert sim.pending == len(pending)
+        assert sim.peek() == (
+            min(pending.values())[0] if pending else None
+        )
+        sim.run()
+        assert not pending and sim.pending == 0
+        assert sim.events_executed == len(fired)
