@@ -1,4 +1,4 @@
-"""Ablations of the reproduction's own design choices (DESIGN.md §4-5):
+"""Ablations of the reproduction's own design choices (docs/deviations.md §5):
 
 * **capture effect** — ns-2-style power capture (CPThresh=10) vs. a
   capture-free collision model; capture is what keeps dense multicast

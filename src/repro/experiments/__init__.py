@@ -52,7 +52,7 @@ _LAZY_EXPORTS = {
     # store layer
     "SqliteStore": "store",
     "open_store": "store",
-    "migrate_json_dir": "store",
+    "migrate": "store",
     "config_key": "store",
     "shard_of": "store",
     # scheduler layer

@@ -35,11 +35,11 @@ Command line (the flat form; ``submit``/``status``/``results``/
         --figure figd02 --store campaign.sqlite
 
 Distributed campaigns: ``--shard I/K`` executes only a deterministic
-config-hash partition of the runs, so K machines sharing a store split
-one campaign without coordination (see
-:func:`~repro.experiments.store.shard_of`); ``--steal`` additionally
-claims and runs other shards' leftovers once the own share is in.  A
-final un-sharded invocation assembles everything from the store.
+config-hash partition of the runs (see
+:func:`~repro.experiments.store.shard_of`), so K hosts split one
+campaign without coordination, each into its own store file.  The
+``migrate`` subcommand merges the shard files into one store, and a
+final un-sharded invocation on it assembles everything.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import dataclasses
 import itertools
 import json
 import os
+import sqlite3
 import sys
 import time
 import typing
@@ -65,7 +66,7 @@ from repro.experiments.runner import RunResult
 from repro.experiments.store import (
     CACHE_SCHEMA,
     config_key,
-    migrate_json_dir,
+    migrate,
     open_store,
     probe_store,
     result_from_record,
@@ -75,7 +76,6 @@ from repro.experiments.scheduler import (
     CancelCampaign,
     Scheduler,
     default_scheduler,
-    worker_id,
 )
 from repro.experiments.aggregation import (
     StreamingAggregate,
@@ -194,8 +194,7 @@ class CampaignResult:
     executed: int = 0
     cache_hits: int = 0  # store hits
     memo_hits: int = 0  # in-memory memo hits
-    skipped: int = 0  # out-of-shard runs left to other machines
-    stolen: int = 0  # foreign-shard runs claimed and executed here
+    skipped: int = 0  # out-of-shard runs left to other shards
     cancelled: bool = False  # a CancelCampaign stopped dispatch early
     elapsed_s: float = 0.0
     stream: Optional[StreamingAggregate] = None  # live per-cell mean/CI
@@ -283,7 +282,6 @@ def run_campaign(
     shard: Optional[Tuple[int, int]] = None,
     store=None,
     scheduler: Optional[Scheduler] = None,
-    steal: bool = False,
     stream_metrics: Optional[Sequence[str]] = None,
     on_update: Optional[Callable[[StreamingAggregate], None]] = None,
 ) -> CampaignResult:
@@ -300,19 +298,16 @@ def run_campaign(
     ``store`` is a :class:`~repro.experiments.store.SqliteStore` or the
     path of its SQLite file.
 
-    ``shard=(i, k)`` distributes one campaign over ``k`` machines
-    sharing a store: runs are partitioned deterministically by config
-    hash (:func:`~repro.experiments.store.shard_of`) and only shard
-    ``i``'s share is *executed* here — foreign-shard runs are still
-    served from the store when available (so overlapping or repeated
-    shard invocations resume cleanly), and are otherwise reported as
-    ``skipped``.  With ``steal=True`` this invocation instead *claims*
-    foreign leftovers through the store and runs them after its own
-    share (claims expire if the claimant dies; records are idempotent
-    per key, so a duplicate run can never double-count); stealing
-    therefore needs both ``shard`` and ``store``.  After every
-    shard has run, a final un-sharded invocation against the shared
-    store assembles the full campaign without executing anything.
+    ``shard=(i, k)`` distributes one campaign over ``k`` invocations:
+    runs are partitioned deterministically by config hash
+    (:func:`~repro.experiments.store.shard_of`) and only shard ``i``'s
+    share is *executed* here — foreign-shard runs are still served from
+    the store when available (so overlapping or repeated shard
+    invocations resume cleanly), and are otherwise reported as
+    ``skipped``.  Shards on different hosts write their own store files;
+    once every shard has run, :func:`~repro.experiments.store.migrate`
+    merges the files, and a final un-sharded invocation against the
+    merged store assembles the full campaign without executing anything.
 
     Streaming aggregation runs alongside: ``result.stream`` holds the
     per-cell running mean/CI over every landed run, and ``on_update``
@@ -330,11 +325,6 @@ def run_campaign(
                 f"shard index {index} out of range for {count} shard"
                 f"{'s' if count != 1 else ''} (need 0 <= i < k)"
             )
-    if steal and (shard is None or store is None):
-        raise ValueError(
-            "steal=True needs shard= and store=: only foreign-shard runs "
-            "are stolen, and claims go through the shared store"
-        )
     t0 = time.perf_counter()
     configs = spec.configs()
     result_store = open_store(store) if store is not None else None
@@ -342,9 +332,7 @@ def run_campaign(
 
     results: List[Optional[RunResult]] = [None] * len(configs)
     pending: List[Tuple[int, ScenarioConfig]] = []
-    stolen_jobs: List[Tuple[int, ScenarioConfig]] = []
     memo_hits = cache_hits = skipped = 0
-    me = worker_id()
 
     for i, cfg in enumerate(configs):
         if memo is not None and cfg in memo:
@@ -361,10 +349,7 @@ def run_campaign(
             stream.update(i, results[i])
             continue
         if shard is not None and shard_of(cfg, shard[1]) != shard[0]:
-            if steal and result_store.claim(config_key(cfg), me):
-                stolen_jobs.append((i, cfg))
-            else:
-                skipped += 1
+            skipped += 1
             continue
         pending.append((i, cfg))
 
@@ -389,21 +374,13 @@ def run_campaign(
         if on_update is not None:
             on_update(stream)  # may raise CancelCampaign
 
-    # own-shard runs first; stolen leftovers only once our share is in
-    jobs = pending + stolen_jobs
-    configs_by_index = dict(jobs)
-    engine = scheduler or default_scheduler(workers, len(jobs))
+    configs_by_index = dict(pending)
+    engine = scheduler or default_scheduler(workers, len(pending))
     try:
-        if jobs:
-            engine.execute(_execute, jobs, _finish, store=result_store)
+        if pending:
+            engine.execute(_execute, pending, _finish, store=result_store)
     except CancelCampaign:
         cancelled = True
-    finally:
-        # claims for stolen runs we never got to: hand them back now
-        # rather than letting the TTL expire them
-        for i, cfg in stolen_jobs:
-            if results[i] is None:
-                result_store.release(config_key(cfg))
 
     return CampaignResult(
         spec=spec,
@@ -412,7 +389,6 @@ def run_campaign(
         cache_hits=cache_hits,
         memo_hits=memo_hits,
         skipped=skipped,
-        stolen=sum(1 for i, _ in stolen_jobs if results[i] is not None),
         cancelled=cancelled,
         elapsed_s=time.perf_counter() - t0,
         stream=stream,
@@ -634,17 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="I/K",
         help="execute only shard I of K (deterministic config-hash "
-        "partition); K machines pointing different shards at one shared "
-        "store split the campaign, and a final un-sharded run assembles "
-        "it from the store",
-    )
-    how.add_argument(
-        "--steal",
-        action="store_true",
-        help="with --shard and --store: after executing the own share, "
-        "claim and run other shards' still-missing runs through the store "
-        "(claims expire if the claimant dies; records stay exactly-once "
-        "per key)",
+        "partition); each host runs its shard into its own --store file, "
+        "the migrate subcommand merges the files, and a final un-sharded "
+        "run on the merged store assembles the campaign",
     )
     _add_metrics_arg(how)
     how.add_argument(
@@ -893,10 +861,15 @@ def _main_results(argv: Sequence[str]) -> int:
 def _main_migrate(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments.campaign migrate",
-        description="Losslessly ingest a legacy v1/v2 JSON record dir "
-        "into a SQLite result store.",
+        description="Losslessly ingest records into a SQLite result store: "
+        "merge a shard's store file, or a legacy v1/v2 JSON record dir.  "
+        "Re-running it changes nothing.",
     )
-    parser.add_argument("src", help="source JSON record dir (<hash>.json)")
+    parser.add_argument(
+        "src",
+        help="source: a SQLite store file (opened read-only) or a legacy "
+        "JSON record dir (<hash>.json)",
+    )
     parser.add_argument(
         "dest", help="destination SQLite file (e.g. campaign.sqlite)"
     )
@@ -904,13 +877,16 @@ def _main_migrate(argv: Sequence[str]) -> int:
         "--quiet", action="store_true", help="suppress progress"
     )
     args = parser.parse_args(argv)
-    if not os.path.isdir(args.src):
-        raise SystemExit(f"source is not a directory: {args.src}")
+    if not os.path.exists(args.src):
+        raise SystemExit(f"migrate source does not exist: {args.src}")
     progress = None if args.quiet else lambda msg: print(msg, flush=True)
     with _cli_store(args.dest) as dest:
-        migrated, skipped = migrate_json_dir(
-            args.src, dest, progress=progress
-        )
+        try:
+            migrated, skipped = migrate(args.src, dest, progress=progress)
+        except sqlite3.DatabaseError as exc:
+            raise SystemExit(
+                f"migrate source {args.src} is not a result store: {exc}"
+            ) from None
     print(
         f"# migrated {migrated} records from {args.src} to "
         f"{args.dest} (skipped {skipped} non-records)"
@@ -949,11 +925,6 @@ def _main_flat(argv: Sequence[str]) -> int:
         raise SystemExit(str(exc)) from None
     shard = _parse_shard(args.shard)
     store_spec = args.store
-    if args.steal and (shard is None or not store_spec):
-        raise SystemExit(
-            "--steal needs --shard I/K and --store: it claims other shards' "
-            "leftovers through the shared store"
-        )
     if args.dry_run:
         # The full plan without executing anything: per-run identity and
         # shard/store status, then the campaign shape.  The store is only
@@ -1021,7 +992,6 @@ def _main_flat(argv: Sequence[str]) -> int:
         store=_cli_store(store_spec),
         progress=progress,
         shard=shard,
-        steal=args.steal,
     )
     metrics = _metrics_from_args(args, spec)
     print()
@@ -1030,12 +1000,11 @@ def _main_flat(argv: Sequence[str]) -> int:
         if shard is not None
         else ""
     )
-    steal_note = f" stolen={campaign.stolen}" if args.steal else ""
     cancel_note = " CANCELLED" if campaign.cancelled else ""
     print(
         f"# campaign {spec.name}: {spec.size()} runs "
         f"(executed={campaign.executed} cached={campaign.cache_hits} "
-        f"memo={campaign.memo_hits}{shard_note}{steal_note}) "
+        f"memo={campaign.memo_hits}{shard_note}) "
         f"in {campaign.elapsed_s:.1f}s{cancel_note}"
     )
     print(campaign.format_table(metrics))

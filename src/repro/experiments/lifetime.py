@@ -41,9 +41,11 @@ def run_lifetime(
     """Run one scenario with finite per-node batteries.
 
     Wired exactly like :func:`~repro.experiments.runner.run_scenario`
-    (every group, the config's workload and churn).  Group sources are
-    exempted (a dead source ends its session trivially and measures
-    nothing about the tree's energy placement).
+    (every group, the config's workload and churn).  A node whose
+    battery runs dry dies: it stops relaying, receiving and draining its
+    neighbours.  Group sources are exempted (a dead source ends its
+    session trivially and measures nothing about the tree's energy
+    placement).
     """
     if battery_j <= 0:
         raise ValueError("battery capacity must be positive")
@@ -56,8 +58,10 @@ def run_lifetime(
             continue
         node.battery.capacity_j = battery_j
         node.battery.remaining_j = battery_j
-        node.battery._on_depleted = (
-            lambda nid=node.id: deaths.append(sim.now)
+        # record the death, then kill the node as its own callback would
+        node.battery._on_depleted = lambda node=node: (
+            deaths.append(sim.now),
+            node._die(),
         )
 
     hub, _ = start_workload(config, sim, network)

@@ -1,10 +1,11 @@
 """The campaign service: one warm store, many concurrent consumers.
 
-The importable counterpart of the ``submit``/``status``/``results`` CLI
-subcommands (see ``docs/campaigns.md``).  A :class:`CampaignService`
-binds a result store and a scheduler once; figures, benches, notebooks
-and CI legs then share that warm store — submitting campaigns, watching
-partial aggregates stream in, and assembling tables — without each
+The importable counterpart of the ``submit``/``status``/``results``/
+``migrate`` CLI subcommands (see ``docs/campaigns.md``).  A
+:class:`CampaignService` binds a result store and a scheduler once;
+figures, benches, notebooks and CI legs on the store's host then share
+that warm store — submitting campaigns, watching partial aggregates
+stream in, merging shard stores, and assembling tables — without each
 reinventing store/scheduler plumbing::
 
     from repro.experiments.service import CampaignService
@@ -27,7 +28,7 @@ from repro.experiments.campaign import (
     run_campaign,
 )
 from repro.experiments.scheduler import Scheduler
-from repro.experiments.store import SqliteStore, migrate_json_dir, open_store
+from repro.experiments.store import SqliteStore, migrate, open_store
 
 __all__ = ["CampaignService"]
 
@@ -53,7 +54,6 @@ class CampaignService:
         spec: CampaignSpec,
         *,
         shard: Optional[Tuple[int, int]] = None,
-        steal: bool = False,
         memo: Optional[Dict] = None,
         progress=None,
         on_update=None,
@@ -65,7 +65,6 @@ class CampaignService:
             store=self.store,
             scheduler=self.scheduler,
             shard=shard,
-            steal=steal,
             memo=memo,
             progress=progress,
             on_update=on_update,
@@ -75,7 +74,7 @@ class CampaignService:
         self, spec: CampaignSpec, metrics: Optional[Sequence[str]] = None
     ) -> CampaignStatus:
         """The streaming per-cell view of ``spec`` — read-only, safe
-        while schedulers (here or on other machines) are writing."""
+        while schedulers on this host are writing to the store."""
         return campaign_status(spec, self.store, metrics=metrics)
 
     def results(
@@ -84,9 +83,11 @@ class CampaignService:
         """Assemble ``spec`` from the store without executing anything."""
         return collect_campaign(spec, self.store, memo=memo)
 
-    def migrate_from(self, json_root: str) -> Tuple[int, int]:
-        """Ingest a legacy JSON record dir; returns (migrated, skipped)."""
-        return migrate_json_dir(json_root, self.store)
+    def migrate_from(self, src: str) -> Tuple[int, int]:
+        """Ingest a shard's store file or a legacy JSON record dir (see
+        :func:`~repro.experiments.store.migrate`); returns (migrated,
+        skipped)."""
+        return migrate(src, self.store)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -9,29 +9,32 @@ stack builds on:
   constants, and :func:`shard_of` (the deterministic config-hash shard
   partition).  These are byte-for-byte the historical definitions: a
   record written by any earlier version keeps hitting, and ``--shard
-  I/K`` assigns every run to the same machine it always did.
+  I/K`` assigns every run to the same shard it always did.
 * **The store** — :class:`SqliteStore`, one row per run in an
   append-only SQLite table indexed by config hash + schema version, with
-  WAL journaling.  A store spec is the path of its file.  Legacy
-  ``<hash>.json`` record dirs are read-only input to
-  :func:`migrate_json_dir`, which ingests v1/v2 records losslessly.
+  WAL journaling.  A store spec is the path of its file.  WAL needs
+  every process that opens the file to run on one host, so a store file
+  belongs to one host: shards write their own files, and
+  :func:`migrate` — the one way records enter a store from elsewhere —
+  merges them, or ingests a legacy ``<hash>.json`` record dir.
 
 Lookups are forgiving: unreadable, stale-schema, foreign-backend or
 hand-edited records are *misses*, never errors, so a corrupt store can
-never fail a campaign.  The store also carries two small side channels
-for the scheduler layer: worker **heartbeats** and run **claims**
-(cross-shard work stealing).
+never fail a campaign.  The store also carries worker **heartbeats**, a
+side channel of the scheduler layer that ``status`` reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import sqlite3
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.experiments.config import ScenarioConfig
 
@@ -50,14 +53,10 @@ COMPATIBLE_SCHEMAS = (1, 2)
 #: cached run; bump this only when run *semantics* change).
 HASH_SCHEMA = 1
 
-#: claims older than this are considered abandoned (a stolen run whose
-#: worker died) and may be re-claimed by another scheduler
-DEFAULT_CLAIM_TTL_S = 600.0
-
 #: how long a SQLite writer waits for another process's lock
 TIMEOUT_S = 30.0
 
-#: records per transaction when :func:`migrate_json_dir` ingests a dir
+#: records per transaction when :func:`migrate` ingests a source
 MIGRATE_BATCH = 256
 
 
@@ -197,8 +196,8 @@ def shard_of(config: ScenarioConfig, n_shards: int) -> int:
     """Deterministic shard assignment by config hash.
 
     Stable across machines and campaign compositions (it depends on the
-    run's identity alone), so K workers pointing ``--shard i/K`` at one
-    shared store partition any campaign without coordination.
+    run's identity alone), so K hosts running ``--shard i/K`` into their
+    own store files partition any campaign without coordination.
     """
     return int(config_key(config), 16) % n_shards
 
@@ -281,10 +280,10 @@ class SqliteStore:
       :meth:`put_many`, one transaction for the whole batch.
 
     Records are schema-versioned, and ``INSERT OR REPLACE`` on the key
-    makes concurrent duplicate writes (racing shards, stolen runs)
-    collapse to one row.  Two small side tables serve the scheduler
-    layer: worker **heartbeats** and run **claims** (cross-shard work
-    stealing).
+    makes duplicate writes (racing invocations, a repeated merge)
+    collapse to one row.  A small side table holds worker
+    **heartbeats** for ``status``.  Every process that opens the file
+    must run on one host (WAL's shared-memory index needs it).
     """
 
     def __init__(self, path: str) -> None:
@@ -331,13 +330,6 @@ class SqliteStore:
                        state TEXT NOT NULL
                    )"""
             )
-            self._conn.execute(
-                """CREATE TABLE IF NOT EXISTS claims (
-                       key TEXT PRIMARY KEY,
-                       worker TEXT NOT NULL,
-                       since_s REAL NOT NULL
-                   )"""
-            )
 
     # -- records -------------------------------------------------------
     @staticmethod
@@ -374,9 +366,6 @@ class SqliteStore:
                 "(key, schema, backend, protocol, seed, elapsed_s, record, "
                 "created_s) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
                 rows,
-            )
-            self._conn.executemany(
-                "DELETE FROM claims WHERE key = ?", [(r[0],) for r in rows]
             )
         return len(rows)
 
@@ -460,38 +449,6 @@ class SqliteStore:
             ).fetchall()
         }
 
-    def claim(
-        self, key: str, worker: str, ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> bool:
-        """Try to claim run ``key`` for ``worker`` (work stealing).
-
-        Returns True when the claim is ours — nobody holds it, or the
-        existing claim is staler than ``ttl_s`` (its worker died).
-        Claims only avoid duplicated *work*; correctness never depends
-        on them because :meth:`put` is idempotent per key.
-        """
-        now = time.time()
-        try:
-            with self._conn:  # IMMEDIATE-equivalent: one writer at a time
-                row = self._conn.execute(
-                    "SELECT worker, since_s FROM claims WHERE key = ?", (key,)
-                ).fetchone()
-                if row is not None and now - row[1] <= ttl_s:
-                    return row[0] == worker
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO claims (key, worker, since_s) "
-                    "VALUES (?, ?, ?)",
-                    (key, worker, now),
-                )
-            return True
-        except sqlite3.OperationalError:
-            return False  # contended lock: treat as somebody else's claim
-
-    def release(self, key: str) -> None:
-        """Drop any claim on ``key`` (called once its record is stored)."""
-        with self._conn:
-            self._conn.execute("DELETE FROM claims WHERE key = ?", (key,))
-
 
 # ----------------------------------------------------------------------
 # Store specs
@@ -551,38 +508,69 @@ def probe_store(spec: StoreSpec) -> Optional[SqliteStore]:
 # ----------------------------------------------------------------------
 # Migration
 # ----------------------------------------------------------------------
-def migrate_json_dir(
-    src_root: str,
-    store: SqliteStore,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[int, int]:
-    """Ingest a v1/v2 ``<hash>.json`` record dir into ``store``.
-
-    Records are copied **losslessly**: the destination receives every
-    field of every parseable record under its original key (the filename
-    stem — the config hash computed when the record was written), keeping
-    its own schema version.  Files that do not parse as records are
-    skipped and counted, never fatal.  Returns ``(migrated, skipped)``.
-    """
-    migrated = skipped = 0
-    batch: List[Tuple[str, dict]] = []
-    for name in sorted(os.listdir(src_root)):
+def _json_dir_records(root: str) -> Iterator[Tuple[str, object]]:
+    """``(key, parsed file or None)`` for every ``<hash>.json`` in a dir."""
+    for name in sorted(os.listdir(root)):
         if not name.endswith(".json"):
             continue
         try:
-            with open(os.path.join(src_root, name), encoding="utf-8") as fh:
+            with open(os.path.join(root, name), encoding="utf-8") as fh:
                 record = json.load(fh)
         except (OSError, ValueError):
-            skipped += 1
-            continue
-        if not isinstance(record, dict) or "schema" not in record:
-            skipped += 1
-            continue
-        batch.append((name[: -len(".json")], record))
-        if len(batch) >= MIGRATE_BATCH:
-            migrated += store.put_many(batch)
-            batch.clear()
-            if progress:
-                progress(f"migrated {migrated} records...")
+            record = None
+        yield name[: -len(".json")], record
+
+
+def _store_file_records(path: str) -> Iterator[Tuple[str, object]]:
+    """``(key, parsed record or None)`` for every ``runs`` row of a store
+    file, opened read-only: a missing path raises instead of creating an
+    empty store, and the source file is never written."""
+    uri = pathlib.Path(os.path.abspath(path)).as_uri() + "?mode=ro"
+    conn = sqlite3.connect(uri, uri=True, timeout=TIMEOUT_S)
+    try:
+        for key, raw in conn.execute(
+            "SELECT key, record FROM runs ORDER BY key, schema"
+        ):
+            try:
+                record = json.loads(raw)
+            except ValueError:
+                record = None
+            yield key, record
+    finally:
+        conn.close()
+
+
+def migrate(
+    src: str,
+    store: SqliteStore,
+    progress: Optional[Callable[[str], None]] = None,
+) -> Tuple[int, int]:
+    """Ingest every record of ``src`` into ``store``.
+
+    This is the one way records enter a store from elsewhere: merging a
+    shard's store file, or ingesting a legacy v1/v2 ``<hash>.json``
+    record dir.  ``src`` is either such a dir or an existing SQLite store
+    file.  Records are copied **losslessly** under their original key
+    (the config hash computed when the record was written — for a dir,
+    the filename stem), each keeping its own schema version; heartbeats
+    are not copied.  Rows or files that do not parse as records are
+    skipped and counted, never fatal.  Re-ingesting a source changes
+    nothing, because :meth:`SqliteStore.put_many` replaces by key.
+    Returns ``(migrated, skipped)``.
+    """
+    records = _json_dir_records(src) if os.path.isdir(src) else _store_file_records(src)
+    migrated = skipped = 0
+    batch: List[Tuple[str, dict]] = []
+    with contextlib.closing(records):  # an error mid-ingest still closes the source
+        for key, record in records:
+            if not isinstance(record, dict) or "schema" not in record:
+                skipped += 1
+                continue
+            batch.append((key, record))
+            if len(batch) >= MIGRATE_BATCH:
+                migrated += store.put_many(batch)
+                batch.clear()
+                if progress:
+                    progress(f"migrated {migrated} records...")
     migrated += store.put_many(batch)
     return migrated, skipped

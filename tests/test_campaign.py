@@ -316,7 +316,7 @@ class TestRunCampaign:
 
 
 class TestSharding:
-    """Distributed campaigns: K machines share a store, each runs its
+    """Distributed campaigns: each of K invocations runs its
     deterministic config-hash shard, a final run assembles from cache."""
 
     def test_shards_partition_the_campaign(self):

@@ -9,9 +9,9 @@ Pins the contracts of the refactor's upper layers (docs/campaigns.md):
   cancels gracefully mid-campaign (everything delivered so far is
   persisted), and a killed-and-resumed invocation converges to the
   same final table as an uninterrupted run;
-* ``steal=True`` lets one shard claim and run other shards' leftovers,
-  with claims contended through the store, and is rejected without a
-  shard and a store;
+* shards write their own store files, and ``migrate`` merges them into
+  a store that assembles the campaign with zero runs executed and the
+  same aggregate table and ``--json-out`` cells as one un-sharded run;
 * streaming per-cell aggregation equals batch ``aggregate`` bit-for-bit
   in any arrival order (hypothesis property), because ``mean_ci`` *is*
   the Welford fold;
@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -172,56 +171,60 @@ class TestCancelResume:
 
 
 # ----------------------------------------------------------------------
-# Work stealing and claims
+# Sharded stores merged by migrate
 # ----------------------------------------------------------------------
-class TestWorkStealing:
-    def test_steal_runs_the_whole_campaign_from_one_shard(self, test_store):
-        spec = rounds_spec(seeds=(1, 2, 3))
-        first = run_campaign(spec, store=test_store, shard=(0, 2), steal=True)
-        assert first.executed == spec.size()  # own share + stolen leftovers
-        assert first.skipped == 0
-        assert first.stolen > 0
-        assert first.stolen + (first.executed - first.stolen) == spec.size()
-
-        other = run_campaign(spec, store=test_store, shard=(1, 2))
-        assert other.executed == 0
-        assert other.cache_hits == spec.size()
-
-    def test_steal_needs_shard_and_store(self, tmp_path):
-        spec = rounds_spec()
-        with pytest.raises(ValueError, match="steal=True needs"):
-            run_campaign(spec, store=str(tmp_path / "r.sqlite"), steal=True)
-        with pytest.raises(ValueError, match="steal=True needs"):
-            run_campaign(spec, shard=(0, 2), steal=True)
-
-    def test_without_steal_foreign_runs_are_skipped(self, test_store):
+class TestShardedStores:
+    def test_foreign_shard_runs_are_skipped(self, test_store):
         spec = rounds_spec(seeds=(1, 2, 3))
         result = run_campaign(spec, store=test_store, shard=(0, 2))
-        assert result.stolen == 0
         assert result.skipped > 0
         assert result.executed + result.skipped == spec.size()
 
-    def test_claim_contention_release_and_expiry(self, test_store):
-        with open_store(test_store) as store:
-            assert store.claim("k1", "worker-a") is True
-            assert store.claim("k1", "worker-b") is False  # held
-            store.release("k1")
-            assert store.claim("k1", "worker-b") is True  # freed
+    def test_merged_shard_stores_equal_one_unsharded_store(
+        self, tmp_path, capsys
+    ):
+        """Two shards, each into its own file, merged by ``migrate``: a
+        run on the merged file executes nothing, and its table and
+        ``--json-out`` cells are bit-identical to one un-sharded store."""
+        spec = rounds_spec(name="cli-svc")  # the campaign SPEC_ARGS names
+        metrics = ("rounds", "moves", "evaluations")
+        merged = str(tmp_path / "merged.sqlite")
+        executed = []
+        for index in (0, 1):
+            shard_file = str(tmp_path / f"shard{index}.sqlite")
+            executed.append(
+                run_campaign(spec, store=shard_file, shard=(index, 2)).executed
+            )
+            assert main(["migrate", shard_file, merged, "--quiet"]) == 0
+        assert 0 not in executed and sum(executed) == spec.size()
 
-            assert store.claim("k2", "worker-a", ttl_s=0.02) is True
-            time.sleep(0.05)
-            # the claimant died (its claim went stale): takeover allowed
-            assert store.claim("k2", "worker-b", ttl_s=0.02) is True
+        single = str(tmp_path / "single.sqlite")
+        reference = run_campaign(spec, store=single)
+        warm = run_campaign(spec, store=merged)
+        assert (warm.executed, warm.cache_hits) == (0, spec.size())
+        assert warm.format_table(metrics) == reference.format_table(metrics)
 
-    def test_storing_a_record_releases_its_claim(self, test_store):
-        cfg = rounds_base(seed=41, protocol="ss-spst")
-        from repro.experiments.campaign import _execute, config_key
+        cells = {}
+        for name, store in (("merged", merged), ("single", single)):
+            out = str(tmp_path / f"{name}.json")
+            assert main(SPEC_ARGS + [
+                "--store", store, "--metrics", ",".join(metrics),
+                "--json-out", out, "--quiet",
+            ]) == 0
+            assert "executed=0 cached=4" in capsys.readouterr().out
+            with open(out, encoding="utf-8") as fh:
+                cells[name] = json.load(fh)["cells"]
+        assert cells["merged"] == cells["single"]
+        assert len(cells["merged"]) == len(spec.cells())
 
-        with open_store(test_store) as store:
-            key = config_key(cfg)
-            assert store.claim(key, "worker-a") is True
-            store.store(cfg, _execute(cfg))
-            assert store.claim(key, "worker-b") is True  # claim is gone
+    def test_migrate_from_a_missing_store_file_creates_nothing(
+        self, tmp_path
+    ):
+        missing = str(tmp_path / "no-such-shard.sqlite")
+        dest = str(tmp_path / "merged.sqlite")
+        with pytest.raises(SystemExit, match="does not exist"):
+            main(["migrate", missing, dest])
+        assert os.listdir(tmp_path) == []
 
 
 # ----------------------------------------------------------------------
@@ -427,26 +430,3 @@ class TestCli:
             SPEC_ARGS + ["--store", sqlite_spec, "--quiet"]
         ) == 0
         assert "executed=0 cached=4" in capsys.readouterr().out
-
-    def test_flat_shard_steal_flags(self, tmp_path, capsys):
-        store = str(tmp_path / "records.sqlite")
-        argv = SPEC_ARGS + [
-            "--store", store, "--shard", "0/2", "--steal", "--quiet"
-        ]
-        assert main(argv) == 0
-        out = capsys.readouterr().out
-        assert "executed=4" in out  # own share + stolen leftovers
-        assert "skipped=0" in out
-        assert "stolen=" in out
-
-    def test_steal_without_shard_or_store_is_rejected(self, tmp_path):
-        """``--steal`` only claims foreign-shard runs through a shared
-        store; without both it would silently steal nothing."""
-        store = str(tmp_path / "records.sqlite")
-        for argv in (
-            SPEC_ARGS + ["--store", store, "--steal"],
-            SPEC_ARGS + ["--shard", "0/2", "--steal"],
-        ):
-            with pytest.raises(SystemExit, match="--steal needs"):
-                main(argv)
-        assert not os.path.exists(store)

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import lifetime
 from repro.experiments.config import ScenarioConfig
 from repro.experiments.lifetime import run_lifetime
-from repro.experiments.runner import build_network, run_scenario, start_workload
+from repro.experiments.runner import build_network, run_scenario
+from repro.net.node import Node
 
 GOLDEN = {
     "maodv": {
@@ -115,10 +117,9 @@ def test_k3_ss_spst_e_summary_unchanged():
 
 
 def test_flooding_deaths_mid_batch_unchanged():
-    """Every non-source node runs dry within 0.3 s of flooding; nodes
-    that run dry at the same instant do so inside one end-of-airtime
-    batch.  (``run_lifetime`` only records a depletion; the node keeps
-    running.)"""
+    """Every non-source node's battery runs dry within 0.3 s of flooding
+    and kills it; nodes that run dry at the same instant do so inside one
+    end-of-airtime batch, and deliveries stop with the dead receivers."""
     lt = run_lifetime(
         ScenarioConfig.quick(protocol="flooding", seed=5, sim_time=12.0),
         battery_j=0.15,
@@ -129,41 +130,51 @@ def test_flooding_deaths_mid_batch_unchanged():
         8.178150965969317, 8.178150965969317, 8.178822596503498,
         8.182525214688608, 8.193911510611395, 8.194138240856685,
         8.201842696145492, 8.203890696145493, 8.203890696145493,
-        8.206995609494085, 8.209624672748081, 8.261095630151896,
-        8.26133107309245, 8.264053158418863, 8.268375264561604,
-        8.26944958568122, 8.271550423430154, 8.272631025449524,
-        8.272631025449524, 8.273844022162455, 8.273968551820564,
-        8.274845369772567, 8.27564752206759, 8.27645682490844,
-        8.278359478045829, 8.27874468224873, 8.281036028518644,
-        8.283696335716003, 8.288521392946315, 8.29029720378429,
-        8.293839072820647, 8.295887072820648, 8.299420417906443,
-        8.299523669997063, 8.390767116548352, 8.397911353112306,
-        8.398347249647141, 8.399875235140563, 8.4050328335554,
-        8.408295509771728, 8.411297331847383, 8.42639814382842,
-        8.436045844549012,
+        8.216522680930261, 8.261095630151896, 8.26133107309245,
+        8.26337907309245, 8.264053158418863, 8.268375264561604,
+        8.26944958568122, 8.271550423430154, 8.273598423430155,
+        8.273844022162455, 8.273968551820564, 8.274845369772567,
+        8.27564752206759, 8.276256587475315, 8.278446198789098,
+        8.27874468224873, 8.279843911448394, 8.281648335716003,
+        8.28328415343694, 8.2867782459259, 8.288521392946315,
+        8.291245523946529, 8.293839072820647, 8.295351159003017,
+        8.397997584190355, 8.398347249647141, 8.401174016651478,
     ]
     assert len(set(lt.deaths)) < len(lt.deaths)  # same-batch deaths
-    assert (lt.delivered, lt.pdr) == (608, 1.0)
+    assert lt.first_death_t == lt.deaths[0]
+    assert (lt.delivered, lt.pdr) == (51, 0.08388157894736842)
 
 
-def test_flooding_battery_kills_receivers_mid_batch_unchanged():
-    """Batteries that really kill their node: a receiver that dies while
-    one batch completes is skipped by every later batch, and its agent
-    stops."""
-    cfg = ScenarioConfig.quick(protocol="flooding", seed=5, sim_time=12.0)
-    sim, network = build_network(cfg)
-    sources = {network.group_source_of(gid) for gid in network.group_ids}
-    deaths = []
-    for node in network.nodes:
-        if node.id in sources:
-            continue
-        node.battery.capacity_j = node.battery.remaining_j = 0.15
-        node.battery._on_depleted = lambda node=node: (
-            deaths.append((sim.now, node.id)), node._die()
-        )
-    hub, _ = start_workload(cfg, sim, network)
-    sim.run(until=cfg.sim_time)
-    assert hub.summary(network.total_energy()).as_dict() == {
+def test_flooding_battery_kills_receivers_mid_batch_unchanged(monkeypatch):
+    """``run_lifetime``'s batteries kill their node: every non-source node
+    runs dry within 0.3 s of flooding, a receiver that dies while one
+    batch completes is skipped by every later batch, and its agent stops.
+    The network ``run_lifetime`` builds and the order in which its nodes
+    die are captured around the run."""
+    built = []
+
+    def build(config):
+        built.append(build_network(config))
+        return built[-1]
+
+    died = []
+    die = Node._die
+
+    def recording_die(node):
+        if node.alive:
+            died.append(node.id)
+        die(node)
+
+    monkeypatch.setattr(lifetime, "build_network", build)
+    monkeypatch.setattr(Node, "_die", recording_die)
+    lt = run_lifetime(
+        ScenarioConfig.quick(protocol="flooding", seed=5, sim_time=12.0),
+        battery_j=0.15,
+    )
+    ((_, network),) = built
+    assert (lt.delivered, lt.pdr) == (51, 0.08388157894736842)
+    assert lt.first_death_t == 8.16447483782911
+    assert network.hub.summary(network.total_energy()).as_dict() == {
         "pdr": 0.08388157894736842,
         "energy_per_packet_mj": 167.32159999999996,
         "avg_delay_ms": 12.878538858784923,
@@ -182,7 +193,7 @@ def test_flooding_battery_kills_receivers_mid_batch_unchanged():
         stats.frames_delivered, stats.frames_collided,
     ) == (159, 1551, 958, 593)
     assert sum(node.alive for node in network.nodes) == 8
-    assert deaths == [
+    assert list(zip(lt.deaths, died, strict=True)) == [
         (8.16447483782911, 3), (8.171405145473715, 15), (8.173453145473715, 17),
         (8.173875016028052, 49), (8.17795510200754, 36), (8.17795510200754, 40),
         (8.178150965969317, 18), (8.178150965969317, 19), (8.178822596503498, 31),

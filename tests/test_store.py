@@ -8,9 +8,12 @@ The contracts pinned here (see docs/campaigns.md):
 * :class:`SqliteStore` holds records behind forgiving load/store
   semantics (WAL journaling, schema-versioned rows, each write durable
   at once, reopen persistence, miss-never-error validation);
-* ``migrate`` ingests a legacy v1/v2 JSON record dir losslessly: the
-  migrated store resumes the campaign with 100% hits and identical
-  aggregates;
+* ``migrate`` ingests a legacy v1/v2 JSON record dir or another store
+  file losslessly: the migrated store resumes the campaign with 100%
+  hits and identical aggregates, a repeated ingest changes nothing, and
+  a source store file is only ever read;
+* a store file written before the claims table was dropped still opens
+  and hits warm;
 * two campaign invocations racing on one store — same shard or split
   shards — lose no records, double none, and aggregate identically to a
   serial reference run.
@@ -18,9 +21,11 @@ The contracts pinned here (see docs/campaigns.md):
 
 from __future__ import annotations
 
+import hashlib
 import json
 import multiprocessing
 import os
+import sqlite3
 
 import pytest
 
@@ -34,7 +39,7 @@ from repro.experiments.config import ScenarioConfig
 from repro.experiments.store import (
     SqliteStore,
     config_key,
-    migrate_json_dir,
+    migrate,
     open_store,
     probe_store,
 )
@@ -170,7 +175,7 @@ class TestSqliteStore:
         store = SqliteStore(str(tmp_path / "s.sqlite"))
         cfg = rounds_base(seed=17, protocol="ss-spst")
         record = _record_for(cfg)
-        for _ in range(3):  # racing shards / stolen re-runs collapse
+        for _ in range(3):  # racing invocations / repeated merges collapse
             store.put(config_key(cfg), record)
         assert store.run_count() == 1
         store.close()
@@ -244,7 +249,7 @@ class TestMigration:
 
         dest = str(tmp_path / "migrated.sqlite")
         with SqliteStore(dest) as store:
-            migrated, skipped = migrate_json_dir(json_root, store)
+            migrated, skipped = migrate(json_root, store)
         assert migrated == spec.size()
         assert skipped == 2
 
@@ -272,12 +277,91 @@ class TestMigration:
             json.dump(v1, fh, sort_keys=True)
 
         with SqliteStore(str(tmp_path / "migrated.sqlite")) as store:
-            migrated, skipped = migrate_json_dir(str(json_root), store)
+            migrated, skipped = migrate(str(json_root), store)
             loaded = store.load(cfg)
         assert (migrated, skipped) == (1, 0)
         assert loaded is not None
         assert loaded["schema"] == 1
         assert loaded["summary"] == v1["summary"]
+
+
+    def test_store_file_source_is_copied_row_for_row(self, tmp_path):
+        """A store file migrates under its keys and schemas; heartbeats
+        stay behind, and a torn row is skipped, never fatal."""
+        spec = rounds_spec()
+        src = str(tmp_path / "shard.sqlite")
+        run_campaign(spec, store=src)
+        cfg = rounds_base(seed=43, protocol="ss-spst")
+        with SqliteStore(src) as store:
+            store.heartbeat("worker-a")
+            store.put("torn", dict(_record_for(cfg), schema=2))
+            with store._conn:
+                store._conn.execute(
+                    "UPDATE runs SET record = '{\"schema\"' WHERE key = 'torn'"
+                )
+            source_rows = {key: store.get(key) for key in store.keys()}
+
+        with SqliteStore(str(tmp_path / "merged.sqlite")) as dest:
+            assert migrate(src, dest) == (spec.size(), 1)
+            assert dest.heartbeats() == {}
+            del source_rows["torn"]
+            assert {key: dest.get(key) for key in dest.keys()} == source_rows
+
+    def test_migrating_twice_changes_nothing(self, tmp_path, legacy_json_dir):
+        spec = rounds_spec()
+        json_root = legacy_json_dir(spec.configs())
+        src = str(tmp_path / "shard.sqlite")
+        run_campaign(rounds_spec(seeds=(3,)), store=src)
+        with SqliteStore(str(tmp_path / "merged.sqlite")) as dest:
+            snapshots = []
+            for _ in range(2):
+                migrate(json_root, dest)
+                migrate(src, dest)
+                snapshots.append(
+                    (dest.run_count(), {k: dest.get(k) for k in dest.keys()})
+                )
+        assert snapshots[0] == snapshots[1]
+        assert snapshots[0][0] == spec.size() + 2
+
+    def test_store_file_source_is_read_only(self, tmp_path):
+        spec = rounds_spec()
+        src = tmp_path / "shard.sqlite"
+        run_campaign(spec, store=str(src))
+        before = hashlib.sha256(src.read_bytes()).hexdigest()
+        with SqliteStore(str(tmp_path / "merged.sqlite")) as dest:
+            assert migrate(str(src), dest) == (spec.size(), 0)
+        assert hashlib.sha256(src.read_bytes()).hexdigest() == before
+
+    def test_missing_source_raises_and_creates_nothing(self, tmp_path):
+        dest_path = tmp_path / "dest" / "merged.sqlite"
+        with SqliteStore(str(dest_path)) as dest:
+            with pytest.raises(sqlite3.OperationalError):
+                migrate(str(tmp_path / "absent.sqlite"), dest)
+        assert sorted(os.listdir(tmp_path)) == ["dest"]
+
+
+class TestOldStoreFiles:
+    def test_store_file_with_a_claims_table_hits_warm(self, tmp_path):
+        """A file written while the store still kept cross-process run
+        claims (an extra ``claims`` table, possibly with rows) opens,
+        hits warm, and takes new records."""
+        spec = rounds_spec()
+        path = str(tmp_path / "old.sqlite")
+        run_campaign(spec, store=path)
+        with sqlite3.connect(path) as conn:
+            conn.execute(
+                """CREATE TABLE claims (
+                       key TEXT PRIMARY KEY,
+                       worker TEXT NOT NULL,
+                       since_s REAL NOT NULL
+                   )"""
+            )
+            conn.execute("INSERT INTO claims VALUES ('k', 'host-1-w0', 0.0)")
+        conn.close()
+        warm = run_campaign(spec, store=path)
+        assert (warm.executed, warm.cache_hits) == (0, spec.size())
+        grown = run_campaign(rounds_spec(seeds=(1, 2, 3)), store=path)
+        assert grown.executed == 2
 
 
 # ----------------------------------------------------------------------
